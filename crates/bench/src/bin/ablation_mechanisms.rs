@@ -5,7 +5,7 @@
 //! Baseline and the ideal No-Refresh system — one engine sweep over the
 //! `scheme` axis, every point a registered-or-custom policy handle.
 
-use hira_bench::{print_series, run_ws, Scale};
+use hira_bench::{print_series, run, with_mix_axis, RunOpts, Scale, Task};
 use hira_core::config::HiraConfig;
 use hira_engine::{Executor, Sweep};
 use hira_sim::config::SystemConfig;
@@ -49,7 +49,8 @@ fn main() {
     let sweep = Sweep::new("ablation_mechanisms").axis("scheme", schemes, |_, s| {
         SystemConfig::table3(cap, s.clone())
     });
-    let t = run_ws(&ex, sweep, scale);
+    let opts = RunOpts::new(scale, Task::Ws);
+    let t = run(&ex, with_mix_axis(sweep, scale), &opts);
     let ideal = t.mean(&[("scheme", "NoRefresh")]);
 
     println!("(weighted speedup normalized to the ideal No-Refresh system)");

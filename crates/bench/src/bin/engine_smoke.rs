@@ -6,7 +6,7 @@
 //! This is the cheap CI-facing proof that scheduling never leaks into
 //! results; the figure binaries then scale the same machinery up.
 
-use hira_bench::{run_ws, Scale};
+use hira_bench::{run, with_mix_axis, RunOpts, Scale, Task};
 use hira_engine::{flabel, Executor, Sweep};
 use hira_sim::config::SystemConfig;
 use hira_sim::policy;
@@ -36,8 +36,10 @@ fn main() {
     let ex = Executor::from_env();
 
     println!("== engine smoke: {} worker thread(s) vs 1 ==", ex.threads());
-    let parallel = run_ws(&ex, sweep(), scale);
-    let serial = run_ws(&Executor::with_threads(1), sweep(), scale);
+    let opts = RunOpts::new(scale, Task::Ws);
+    let ws = |ex: &Executor| run(ex, with_mix_axis(sweep(), scale), &opts);
+    let parallel = ws(&ex);
+    let serial = ws(&Executor::with_threads(1));
     assert_eq!(
         parallel.run.canonical_json(),
         serial.run.canonical_json(),

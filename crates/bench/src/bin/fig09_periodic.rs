@@ -2,7 +2,9 @@
 //! (a) normalized to the ideal No-Refresh system, (b) normalized to the
 //! Baseline (rank-level REF). One engine sweep over `scheme × capacity`.
 
-use hira_bench::{periodic_schemes_ablated, print_series, run_ws, Scale};
+use hira_bench::{
+    periodic_schemes_ablated, print_series, run, with_mix_axis, RunOpts, Scale, Task,
+};
 use hira_engine::{flabel, Executor, Sweep};
 use hira_sim::config::SystemConfig;
 use hira_sim::policy;
@@ -28,7 +30,8 @@ fn main() {
         .axis("cap", caps.map(|c| (flabel(c), c)), |s, c| {
             SystemConfig::table3(*c, s.clone())
         });
-    let t = run_ws(&ex, sweep, scale);
+    let opts = RunOpts::new(scale, Task::Ws);
+    let t = run(&ex, with_mix_axis(sweep, scale), &opts);
     let series = |name: &str| -> Vec<f64> {
         caps.iter()
             .map(|&c| t.mean(&[("scheme", name), ("cap", &flabel(c))]))

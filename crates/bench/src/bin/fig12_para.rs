@@ -3,7 +3,7 @@
 //! improvement over plain PARA. The `p_th` of each scheme depends on the
 //! `NRH` axis, so the scheme axis uses point-dependent expansion.
 
-use hira_bench::{preventive_schemes, print_series, run_ws, Scale};
+use hira_bench::{preventive_schemes, print_series, run, with_mix_axis, RunOpts, Scale, Task};
 use hira_engine::{Executor, ScenarioKey, Sweep};
 use hira_sim::config::SystemConfig;
 use hira_sim::policy;
@@ -34,7 +34,8 @@ fn main() {
         ScenarioKey::root().with("scheme", "no-defense"),
         SystemConfig::table3(8.0, policy::baseline()),
     );
-    let t = run_ws(&ex, sweep, scale);
+    let opts = RunOpts::new(scale, Task::Ws);
+    let t = run(&ex, with_mix_axis(sweep, scale), &opts);
 
     let base_ws = t.mean(&[("scheme", "no-defense")]);
     let series = |name: &str| -> Vec<f64> {

@@ -1,7 +1,7 @@
 //! Fig. 13: channel-count sweep (1-8) for periodic refresh at 2/8/32 Gb —
 //! one engine sweep over `capacity × scheme × channels`.
 
-use hira_bench::{print_series, run_ws, Scale};
+use hira_bench::{print_series, run, with_mix_axis, RunOpts, Scale, Task};
 use hira_engine::{flabel, Executor, Sweep};
 use hira_sim::config::SystemConfig;
 use hira_sim::policy;
@@ -25,7 +25,8 @@ fn main() {
             channels.map(|c| (c.to_string(), c)),
             |(cap, scheme), ch| SystemConfig::table3(*cap, scheme.clone()).with_geometry(*ch, 1),
         );
-    let t = run_ws(&ex, sweep, scale);
+    let opts = RunOpts::new(scale, Task::Ws);
+    let t = run(&ex, with_mix_axis(sweep, scale), &opts);
 
     for cap in caps {
         println!(

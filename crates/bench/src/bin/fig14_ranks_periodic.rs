@@ -1,7 +1,7 @@
 //! Fig. 14: rank-count sweep (1-8, shared command bus) for periodic refresh
 //! — one engine sweep over `capacity × scheme × ranks`.
 
-use hira_bench::{print_series, run_ws, Scale};
+use hira_bench::{print_series, run, with_mix_axis, RunOpts, Scale, Task};
 use hira_engine::{flabel, Executor, Sweep};
 use hira_sim::config::SystemConfig;
 use hira_sim::policy;
@@ -25,7 +25,8 @@ fn main() {
             ranks.map(|r| (r.to_string(), r)),
             |(cap, scheme), rk| SystemConfig::table3(*cap, scheme.clone()).with_geometry(1, *rk),
         );
-    let t = run_ws(&ex, sweep, scale);
+    let opts = RunOpts::new(scale, Task::Ws);
+    let t = run(&ex, with_mix_axis(sweep, scale), &opts);
 
     for cap in caps {
         println!(

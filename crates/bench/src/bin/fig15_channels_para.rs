@@ -3,7 +3,9 @@
 //! on the NRH axis (point-dependent expansion), plus one no-defense
 //! baseline point.
 
-use hira_bench::{preventive_schemes_geometry, print_series, run_ws, Scale};
+use hira_bench::{
+    preventive_schemes_geometry, print_series, run, with_mix_axis, RunOpts, Scale, Task,
+};
 use hira_engine::{Executor, ScenarioKey, Sweep};
 use hira_sim::config::SystemConfig;
 use hira_sim::policy;
@@ -30,7 +32,8 @@ fn main() {
         ScenarioKey::root().with("scheme", "no-defense"),
         SystemConfig::table3(8.0, policy::baseline()),
     );
-    let t = run_ws(&ex, sweep, scale);
+    let opts = RunOpts::new(scale, Task::Ws);
+    let t = run(&ex, with_mix_axis(sweep, scale), &opts);
     let base = t.mean(&[("scheme", "no-defense")]);
 
     for nrh in nrhs {

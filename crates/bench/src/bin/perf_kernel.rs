@@ -7,7 +7,7 @@
 //! whose wake declaration is too eager shows up here as a result mismatch,
 //! not as a silently wrong BENCH baseline.
 //!
-//! Timing is single-threaded ([`hira_bench::run_perf_kernel`]) so the
+//! Timing is single-threaded (`Executor::with_threads(1)`) so the
 //! wall-clock comparison measures the kernels, not the executor. Always
 //! writes `BENCH_perf_kernel.json` (into `HIRA_BENCH_DIR`, or the working
 //! directory when unset) with per-point `wall_dense_ms` / `wall_event_ms`
@@ -17,81 +17,58 @@
 //! a warm `--cache`, which replays the stored walls verbatim (the
 //! kernel-identity assertion ran when each point was first computed).
 //!
-//! Flags:
+//! Flags: the shared matrix flags without the kernel, probe, telemetry and
+//! determinism ones (see the `hira_bench` crate docs) over the
+//! [`hira_bench::grid::PERF_KERNEL`] preset's axes — `--policy=` (default:
+//! the full standard registry) and the opt-in `--plugin=`, under which the
+//! dense-vs-event identity assertion runs with each plugin attached —
+//! plus its own:
 //!
-//! * `--policy=<name>[,<name>...]` (repeatable) — subset the policy axis;
-//!   default: the full standard registry,
-//! * `--plugin=<form>[,<form>...]` (repeatable) — cross the sweep with a
-//!   controller-plugin axis (`none`, `oracle:<tRH>`, `para:<p>`,
-//!   `graphene:<tRH>:<k>`); the dense-vs-event identity assertion then
-//!   runs with each plugin attached; without the flag no plugin axis is
-//!   added and the sweep keys are unchanged,
-//! * `--cache=<dir>` / `--no-cache` / `--cache-stats` — the shared sweep
-//!   cache: replay previously timed points and run only the misses (see
-//!   [`hira_bench::CacheSpec`]),
 //! * `--check-baseline=<path>` — after the sweep, compare `speedup_total`
 //!   against the one recorded in the `BENCH_perf_kernel.json` at `<path>`
 //!   and fail when it regressed by more than the tolerance — the CI guard
 //!   that the no-probe notification sites stay free,
 //! * `--baseline-tolerance=<frac>` — allowed fractional regression for
 //!   `--check-baseline` (default 0.35; wall-clock ratios are noisy on
-//!   shared runners),
-//! * `--trace[=<path>]` / `--metrics[=<path>]` / `--progress` /
-//!   `--log-level=<level>` — the shared observability axis: JSONL span
-//!   log, Prometheus dump, live progress on stderr and the slow-point
-//!   report (see [`hira_bench::ObsSpec`]),
-//! * `--list` — print the registered policies and plugin forms, then exit.
+//!   shared runners).
 //!
 //! Scale: `HIRA_MIXES` × `HIRA_INSTS` as everywhere else.
 
-use hira_bench::{
-    extract_metric_value, plugin_axis_from_args, policy_axis_from_args, print_plugin_list,
-    print_policy_list, print_series, run_perf_kernel_observed, CacheSpec, ObsSpec, Scale,
-};
-use hira_engine::{RunRecord, ScenarioKey};
-use std::path::Path;
+use hira_bench::grid::PERF_KERNEL;
+use hira_bench::{print_series, with_mix_axis, with_plugin_axis, AxisKind};
+use hira_engine::json::{self, Value};
+use hira_engine::{Executor, RunRecord, ScenarioKey};
 
-/// The single value of a `--<flag>=` argument, when passed.
-fn flag_value(flag: &str) -> Option<String> {
-    let prefix = format!("--{flag}=");
-    std::env::args().find_map(|a| a.strip_prefix(&prefix).map(str::to_owned))
+/// The `speedup_total` record's value in a `BENCH_perf_kernel.json` body.
+fn speedup_total(body: &str) -> Option<f64> {
+    let doc = json::parse(body).ok()?;
+    let records = doc.get("records")?.as_arr()?;
+    records
+        .iter()
+        .find(|r| r.get("metric").and_then(Value::as_str) == Some("speedup_total"))?
+        .get("value")?
+        .as_f64()
 }
 
 fn main() {
-    if std::env::args().any(|a| a == "--list") {
-        print_policy_list();
-        println!();
-        print_plugin_list();
-        return;
-    }
-    let scale = Scale::from_env();
-    let cap = 8.0;
-    let policies = policy_axis_from_args();
-    let plugins = plugin_axis_from_args();
-    let cache = CacheSpec::from_args();
-    let obs = ObsSpec::from_args();
+    let mut cli = PERF_KERNEL.cli();
+    let scale = cli.opts.scale;
     // Read the baseline before the sweep so a bad path fails fast.
-    let baseline = flag_value("check-baseline").map(|path| {
-        let body = std::fs::read_to_string(&path)
+    let baseline = cli.value("check-baseline").map(|path| {
+        let body = std::fs::read_to_string(path)
             .unwrap_or_else(|e| panic!("--check-baseline: cannot read {path}: {e}"));
-        let total = extract_metric_value(&body, "speedup_total")
+        let total = speedup_total(&body)
             .unwrap_or_else(|| panic!("--check-baseline: no speedup_total record in {path}"));
-        (path, total)
+        (path.to_owned(), total)
     });
-    let tolerance: f64 = flag_value("baseline-tolerance")
+    let tolerance: f64 = cli
+        .value("baseline-tolerance")
         .map(|v| v.parse().expect("--baseline-tolerance"))
         .unwrap_or(0.35);
-    assert!(
-        !policies.is_empty(),
-        "perf_kernel needs at least one policy"
-    );
-
-    println!(
-        "== perf_kernel: dense vs event over {} policies x {} mixes x {} insts at {cap} Gb ==",
-        policies.len(),
-        scale.mixes,
-        scale.insts
-    );
+    let policies = cli.grid.labels(AxisKind::Policy);
+    // The plugin axis crosses after the mix axis: `policy, mix, plugin`.
+    let plugins = cli.grid.take_plugins();
+    let grid = cli.build();
     if !plugins.is_empty() {
         let plugin_names: Vec<&str> = plugins.iter().map(|(n, _)| n.as_str()).collect();
         println!(
@@ -100,15 +77,16 @@ fn main() {
         );
     }
 
-    let (mut run, stats) = run_perf_kernel_observed(&policies, &plugins, cap, scale, &cache, &obs);
+    let sweep = with_plugin_axis(with_mix_axis(grid, scale), &plugins);
+    let t = cli.run(&Executor::with_threads(1), sweep);
     // Replayed points skipped both kernel runs; their identity was
     // asserted when they were first computed into the store.
-    let note = if stats.hits == 0 {
+    let note = if t.stats.map_or(0, |s| s.hits) == 0 {
         "results identical"
     } else {
         "identity verified at first computation for replayed points"
     };
-
+    let mut run = t.run;
     let sum_for = |name: &str, metric: &str| -> f64 {
         run.records
             .iter()
@@ -119,7 +97,7 @@ fn main() {
     let mut total_dense = 0.0;
     let mut total_event = 0.0;
     let mut speedups = Vec::new();
-    for (name, _) in &policies {
+    for name in &policies {
         let policy_dense = sum_for(name, "wall_dense_ms");
         let policy_event = sum_for(name, "wall_event_ms");
         total_dense += policy_dense;
@@ -161,9 +139,5 @@ fn main() {
         );
     }
 
-    let dir = std::env::var("HIRA_BENCH_DIR").unwrap_or_else(|_| ".".to_string());
-    match run.write_bench_json(Path::new(&dir)) {
-        Ok(path) => println!("(result store written to {})", path.display()),
-        Err(e) => eprintln!("warning: could not write BENCH_perf_kernel.json: {e}"),
-    }
+    cli.finish(&run);
 }

@@ -39,12 +39,14 @@ use hira_obs::{field, Level, TraceSink};
 use std::io::{BufRead, BufReader, Write};
 
 fn main() {
-    let socket = std::env::args().find_map(|a| {
-        a.strip_prefix("--socket=")
-            .map(|p| std::path::PathBuf::from(p.to_owned()))
-    });
-    let cache = CacheSpec::from_args();
-    let sink = ObsSpec::from_args().sink("serve");
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let socket = args
+        .iter()
+        .find_map(|a| a.strip_prefix("--socket=").map(std::path::PathBuf::from));
+    let cache = CacheSpec::parse(&args).unwrap_or_else(|e| panic!("{e}"));
+    let sink = ObsSpec::parse(&args)
+        .unwrap_or_else(|e| panic!("{e}"))
+        .sink("serve");
     let mut server = Server::new(Executor::from_env(), Scale::from_env(), &cache);
     if let Some(s) = &sink {
         server = server.with_trace(s.clone());

@@ -19,31 +19,53 @@
 //! * `HIRA_BENCH_DIR` — when set, every binary additionally writes its
 //!   machine-readable `BENCH_<sweep>.json` result set there.
 //!
-//! Binaries that sweep refresh policies also accept `--policy=<name>[,..]`
-//! (repeatable) to subset the policy axis by registry name — see
-//! [`policy_axis_from_args`] — binaries that sweep workloads accept
-//! `--workload=<name>[,..]` the same way ([`workload_axis_from_args`]),
-//! and binaries that sweep devices accept `--device=<name>[,..]`
-//! ([`device_axis_from_args_or`], including the dynamic `ddr4-2400@<Gb>`
-//! form). Passing `--list` to any axis prints every registered name with
-//! its one-line profile and exits, so sweep binaries are self-documenting.
+//! Every sweep runs through one call, [`run`], whose [`RunOpts`] pick the
+//! [`Task`], probes, cache and observability; crossing a grid with the mix
+//! suite is the explicit [`with_mix_axis`].
 //!
-//! All matrix binaries additionally share the sweep-cache axis
-//! ([`CacheSpec::from_args`]): `--cache=<dir>` replays previously computed
-//! points from a `hira-store` directory and simulates only the misses,
-//! `--no-cache` disables a configured cache, and `--cache-stats` prints
-//! the hit/miss accounting after the run.
+//! ## Shared flags of the matrix binaries
 //!
-//! And the observability axis ([`ObsSpec::from_args`]): `--trace[=<path>]`
-//! writes one JSONL span/event log per sweep, `--metrics[=<path>]` dumps a
-//! Prometheus text exposition after the run, `--progress` streams live
-//! done/total/ETA lines to stderr, and `--log-level=` (or `HIRA_LOG`)
-//! filters the trace. Observation rides beside the results — canonical
-//! output is byte-identical with or without it.
+//! `policy_matrix`, `workload_matrix`, `device_matrix`, `rh_matrix` and
+//! `perf_kernel` are [`Preset`]s: a [`GridSpec`] with default axes, a sweep
+//! name and their own report tables. They accept the flags below, plus
+//! their own as listed in each binary's docs; any other argument is
+//! rejected with the accepted list.
+//!
+//! * `--policy=` / `--workload=` / `--device=` / `--plugin=`
+//!   `<name>[,<name>...]` (repeatable; only the binary's own axes) — select
+//!   an axis's values by registry name, dynamic forms included (`hira<N>`;
+//!   `mix<N>`, `zipf<N>`, `rw<N>`, `open<N>`, `trace:<path>`;
+//!   `ddr4-2400@<Gb>`; `none`, `oracle:<tRH>`, `para:<p>`,
+//!   `graphene:<tRH>:<k>`). An unknown name fails before anything runs.
+//!   Where `--plugin=` is opt-in, the axis exists only when the flag is
+//!   passed, so the default sweep keys never change.
+//! * `--list` — print the registry behind each of the binary's flags and
+//!   exit.
+//! * `--cache=<dir>` / `--no-cache` / `--cache-stats` — the sweep cache
+//!   ([`CacheSpec`]): replay previously computed points from a
+//!   `hira-store` directory and simulate only the misses.
+//! * `--trace[=<path>]` / `--metrics[=<path>]` / `--progress` /
+//!   `--log-level=<level>` — observability ([`ObsSpec`]): JSONL span log,
+//!   Prometheus dump, live progress on stderr and the slow-point report.
+//!   Canonical output is byte-identical with or without it.
+//!
+//! The binaries that simulate each point once also take:
+//!
+//! * `--kernel=dense|event` — simulation kernel (default `event`; results
+//!   are bit-identical, `dense` is the reference escape hatch),
+//! * `--probe=<form>` / `--cmdtrace=<prefix>` / `--stats-epoch=<cycles>` —
+//!   observers on every point ([`ProbeSpec`]; results stay bit-identical,
+//!   output paths are suffixed per point),
+//! * `--telemetry` — print the per-point run telemetry table,
+//! * `--check-determinism` — re-run the sweep single-threaded and uncached
+//!   and assert the canonical result sets are byte-identical.
+//!
+//! Each writes `BENCH_<sweep>.json` into `HIRA_BENCH_DIR` (or the working
+//! directory when unset).
 
 use hira_engine::{
-    metric, sanitize_key, suffix_path, Executor, Metric, PointRun, PointTelemetry, Scenario,
-    ScenarioKey, Sweep,
+    metric, sanitize_key, suffix_path, Executor, Metric, PointRun, PointTelemetry, RunRecord,
+    Scenario, ScenarioKey, Sweep,
 };
 use hira_obs::{field, Level, MetricsRegistry, Progress, TraceSink};
 use hira_sim::builder::SystemBuilder;
@@ -61,8 +83,10 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use std::time::Instant;
 
+pub mod grid;
 pub mod serve;
 
+pub use grid::{AxisKind, Cli, Defaults, GridSpec, Preset, SIM_FLAGS, SWEEP_FLAGS};
 pub use hira_engine::RunSet;
 pub use hira_store::CacheStats;
 
@@ -177,7 +201,7 @@ fn compute_alone_ipc(
 /// Panics when `name` does not resolve against the standard workload
 /// registry: weighted-speedup sweeps require registry-resolvable instance
 /// names (custom unregistered workloads can still be simulated directly,
-/// just not normalized by [`run_ws`]).
+/// just not normalized by [`run`]).
 pub fn alone_ipc(
     name: &str,
     device: &DeviceHandle,
@@ -245,6 +269,8 @@ fn warm_alone_cache<'a>(
 pub struct WsTable {
     /// Per-`(config, mix)` records (`ws` metric), for emission/inspection.
     pub run: RunSet,
+    /// The cache accounting when the run went through an active cache.
+    pub stats: Option<CacheStats>,
     means: Vec<(ScenarioKey, f64)>,
 }
 
@@ -281,65 +307,74 @@ impl WsTable {
     }
 }
 
-/// Runs a sweep of system configurations over the standard mix suite and
-/// returns the mean weighted speedup per configuration.
-///
-/// The sweep is expanded with a `mix` axis (cartesian: every configuration ×
-/// every mix handle `mix0..mixN`), every resulting point is simulated by
-/// the engine executor, and the `mix` axis is then averaged away. All
-/// parallelism — including the alone-IPC warm-up — goes through the engine;
-/// results are bit-identical for any `HIRA_THREADS`.
+/// What [`run`] measures at every point.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Task {
+    /// Weighted speedup (`ws`), normalized by alone-IPC runs.
+    Ws,
+    /// `ws` plus the channel metrics: `read_lat` / `write_lat` (average
+    /// demand latencies in memory cycles), `dbus` (mean per-channel
+    /// data-bus busy fraction) and the quantiles `read_p50` / `read_p99` /
+    /// `write_p50` / `write_p99`.
+    WsStats,
+    /// The kernel A/B: every point timed under the dense and the event
+    /// kernel (`wall_dense_ms`, `wall_event_ms`, `speedup`), asserting
+    /// both results are identical. Needs no alone-IPC warmup.
+    PerfKernel,
+}
+
+impl Task {
+    /// The task tag in the cache key ([`ws_canonical`]).
+    pub(crate) fn tag(self) -> &'static str {
+        match self {
+            Task::Ws => "ws",
+            Task::WsStats => "ws+stats",
+            Task::PerfKernel => "perf_kernel",
+        }
+    }
+}
+
+/// The options of one [`run`].
+#[derive(Debug, Clone)]
+pub struct RunOpts {
+    /// Instruction budgets (and mix count, for [`with_mix_axis`]).
+    pub scale: Scale,
+    /// What every point measures.
+    pub task: Task,
+    /// Probes attached to every point.
+    pub probes: ProbeSpec,
+    /// The sweep cache.
+    pub cache: CacheSpec,
+    /// Tracing, metrics and progress.
+    pub obs: ObsSpec,
+}
+
+impl RunOpts {
+    /// `task` at `scale`: no probes, no cache, no observation.
+    pub fn new(scale: Scale, task: Task) -> Self {
+        RunOpts {
+            scale,
+            task,
+            probes: ProbeSpec::default(),
+            cache: CacheSpec::disabled(),
+            obs: ObsSpec::disabled(),
+        }
+    }
+}
+
+/// Crosses every configuration of `sweep` with the standard mix suite: a
+/// `mix` axis `0..scale.mixes`, each point running `mix(id)` at the
+/// scale's instruction budgets. [`run`] averages the axis away.
 ///
 /// # Panics
 ///
-/// Panics if `sweep` is empty.
-pub fn run_ws(ex: &Executor, sweep: Sweep<SystemConfig>, scale: Scale) -> WsTable {
-    run_ws_probed(ex, sweep, scale, &ProbeSpec::default())
-}
-
-/// [`run_ws`] with probes from a [`ProbeSpec`] attached to every expanded
-/// point (after the `mix` axis exists, so per-point output files are
-/// distinct per mix). An inactive spec is a plain [`run_ws`].
-pub fn run_ws_probed(
-    ex: &Executor,
-    sweep: Sweep<SystemConfig>,
-    scale: Scale,
-    probes: &ProbeSpec,
-) -> WsTable {
-    run_ws_probed_cached(ex, sweep, scale, probes, &CacheSpec::disabled())
-}
-
-/// [`run_ws_probed`] through the sweep cache selected by `cache`: hit
-/// points replay from the store, only misses are simulated (including
-/// their alone-IPC warmup), and the resulting table is bit-identical to an
-/// uncached run.
-pub fn run_ws_probed_cached(
-    ex: &Executor,
-    sweep: Sweep<SystemConfig>,
-    scale: Scale,
-    probes: &ProbeSpec,
-    cache: &CacheSpec,
-) -> WsTable {
-    run_ws_observed(ex, sweep, scale, probes, cache, &ObsSpec::disabled())
-}
-
-/// [`run_ws_probed_cached`] with the observability selected by `obs`
-/// attached: per-point trace events with phase timings, metrics counters
-/// and histograms, live progress. Observation never touches the results —
-/// the table is byte-identical to an unobserved run.
-pub fn run_ws_observed(
-    ex: &Executor,
-    sweep: Sweep<SystemConfig>,
-    scale: Scale,
-    probes: &ProbeSpec,
-    cache: &CacheSpec,
-    obs: &ObsSpec,
-) -> WsTable {
+/// Panics if `scale.mixes` is zero.
+pub fn with_mix_axis(sweep: Sweep<SystemConfig>, scale: Scale) -> Sweep<SystemConfig> {
     assert!(
         scale.mixes >= 1,
         "HIRA_MIXES must be >= 1 (a data point needs at least one mix)"
     );
-    let full = sweep.expand("mix", |_, cfg| {
+    sweep.expand("mix", |_, cfg| {
         (0..scale.mixes)
             .map(|id| {
                 let cfg = cfg
@@ -349,124 +384,110 @@ pub fn run_ws_observed(
                 (id.to_string(), cfg)
             })
             .collect()
-    });
-    run_ws_points(ex, probes.attach(full), "mix", scale, false, cache, obs)
+    })
 }
 
-/// Runs a sweep of system configurations **as configured**: every point
-/// keeps its own workload handle (a `--workload=` axis, a trace replay, a
-/// custom generator) instead of being crossed with the mix suite. The
-/// `workload_matrix` binary's path.
+/// Runs a sweep of system configurations as configured — every point
+/// keeps its workload; cross with [`with_mix_axis`] first for the mix
+/// suite — at `opts.scale`'s instruction budgets, measuring `opts.task`.
+///
+/// Probes attach to every point. With an active cache, hits replay from
+/// the store and only misses are simulated (including their alone-IPC
+/// warmup), bit-identically to an uncached run. Observation rides beside
+/// the results: the table is byte-identical with or without it. All
+/// parallelism goes through the engine; results are bit-identical for any
+/// `HIRA_THREADS`. The `mix` axis, when present, is averaged away in the
+/// table's means.
 ///
 /// # Panics
 ///
-/// Panics if `sweep` is empty, or if a point's workload yields instance
-/// names the standard registry cannot resolve (see [`alone_ipc`]).
-pub fn run_ws_as_configured(ex: &Executor, sweep: Sweep<SystemConfig>, scale: Scale) -> WsTable {
-    run_ws_as_configured_probed(ex, sweep, scale, &ProbeSpec::default())
-}
-
-/// [`run_ws_as_configured`] with probes from a [`ProbeSpec`] attached to
-/// every point.
-pub fn run_ws_as_configured_probed(
-    ex: &Executor,
-    sweep: Sweep<SystemConfig>,
-    scale: Scale,
-    probes: &ProbeSpec,
-) -> WsTable {
-    run_ws_as_configured_cached(ex, sweep, scale, probes, &CacheSpec::disabled())
-}
-
-/// [`run_ws_as_configured_probed`] through the sweep cache selected by
-/// `cache` (see [`run_ws_probed_cached`]).
-pub fn run_ws_as_configured_cached(
-    ex: &Executor,
-    sweep: Sweep<SystemConfig>,
-    scale: Scale,
-    probes: &ProbeSpec,
-    cache: &CacheSpec,
-) -> WsTable {
-    run_ws_as_configured_observed(ex, sweep, scale, probes, cache, &ObsSpec::disabled())
-}
-
-/// [`run_ws_as_configured_cached`] with the observability selected by
-/// `obs` attached (see [`run_ws_observed`]).
-pub fn run_ws_as_configured_observed(
-    ex: &Executor,
-    sweep: Sweep<SystemConfig>,
-    scale: Scale,
-    probes: &ProbeSpec,
-    cache: &CacheSpec,
-    obs: &ObsSpec,
-) -> WsTable {
-    let full = sweep.map(|_, cfg| cfg.with_insts(scale.insts, scale.warmup));
-    run_ws_points(ex, probes.attach(full), "mix", scale, false, cache, obs)
-}
-
-/// [`run_ws_as_configured`] plus the channel-level metrics: every record
-/// set carries `read_lat` / `write_lat` (average demand latencies in
-/// memory cycles), `dbus` (mean per-channel data-bus busy fraction) and
-/// the histogram quantiles `read_p50` / `read_p99` / `write_p50` /
-/// `write_p99` alongside `ws`. The `device_matrix` binary's path.
-pub fn run_ws_with_stats(ex: &Executor, sweep: Sweep<SystemConfig>, scale: Scale) -> WsTable {
-    run_ws_with_stats_probed(ex, sweep, scale, &ProbeSpec::default())
-}
-
-/// [`run_ws_with_stats`] with probes from a [`ProbeSpec`] attached to
-/// every point.
-pub fn run_ws_with_stats_probed(
-    ex: &Executor,
-    sweep: Sweep<SystemConfig>,
-    scale: Scale,
-    probes: &ProbeSpec,
-) -> WsTable {
-    run_ws_with_stats_cached(ex, sweep, scale, probes, &CacheSpec::disabled())
-}
-
-/// [`run_ws_with_stats_probed`] through the sweep cache selected by
-/// `cache` (see [`run_ws_probed_cached`]).
-pub fn run_ws_with_stats_cached(
-    ex: &Executor,
-    sweep: Sweep<SystemConfig>,
-    scale: Scale,
-    probes: &ProbeSpec,
-    cache: &CacheSpec,
-) -> WsTable {
-    run_ws_with_stats_observed(ex, sweep, scale, probes, cache, &ObsSpec::disabled())
-}
-
-/// [`run_ws_with_stats_cached`] with the observability selected by `obs`
-/// attached (see [`run_ws_observed`]).
-pub fn run_ws_with_stats_observed(
-    ex: &Executor,
-    sweep: Sweep<SystemConfig>,
-    scale: Scale,
-    probes: &ProbeSpec,
-    cache: &CacheSpec,
-    obs: &ObsSpec,
-) -> WsTable {
-    let full = sweep.map(|_, cfg| cfg.with_insts(scale.insts, scale.warmup));
-    run_ws_points(ex, probes.attach(full), "mix", scale, true, cache, obs)
+/// Panics if `sweep` is empty, if a point's workload yields instance
+/// names the standard registry cannot resolve (see [`alone_ipc`]), if the
+/// two kernels diverge under [`Task::PerfKernel`], or if the cache store
+/// cannot be opened or written.
+pub fn run(ex: &Executor, sweep: Sweep<SystemConfig>, opts: &RunOpts) -> WsTable {
+    let (scale, task) = (opts.scale, opts.task);
+    let full = opts
+        .probes
+        .attach(sweep.map(|_, cfg| cfg.with_insts(scale.insts, scale.warmup)));
+    assert!(!full.is_empty(), "sweep `{}` has no points", full.name());
+    let warm_alone = task != Task::PerfKernel;
+    let watch = opts.obs.begin(full.name(), full.len(), ex.threads());
+    let point = |sc: Scenario<'_, SystemConfig>| {
+        let key = watch.as_ref().map(|_| sc.key.clone());
+        let (ms, t, phases) = match task {
+            Task::PerfKernel => perf_kernel_task(sc),
+            _ => ws_point_task(sc, scale, task == Task::WsStats),
+        };
+        if let (Some(w), Some(key)) = (&watch, key) {
+            w.record_phases(&key, phases);
+        }
+        (ms, t)
+    };
+    let (run, stats) = if let Some(mut store) = opts.cache.open_for(&full) {
+        let plan = SweepPlan::compute(&store, &full, cache_salt(), |sc| {
+            ws_canonical(task.tag(), sc.params)
+        });
+        if warm_alone {
+            let misses = plan.miss_indices().map(|i| &full.points()[i].1);
+            warm_alone_cache(ex, misses, full.base_seed(), scale);
+        }
+        let on_point = |o: PointOutcome<'_>| {
+            if let Some(w) = &watch {
+                w.point_done(
+                    &full.points()[o.index].0,
+                    o.cached,
+                    o.queue_wait_ms,
+                    o.point.wall_ms,
+                );
+            }
+        };
+        let (run, stats) = ex
+            .run_cached(&mut store, &full, &plan, point, Some(&on_point))
+            .unwrap_or_else(|e| {
+                panic!(
+                    "cache: cannot persist results at {}: {e}",
+                    store.dir().display()
+                )
+            });
+        opts.cache.report(&stats);
+        (run, Some(stats))
+    } else {
+        if warm_alone {
+            let configs = full.points().iter().map(|(_, c)| c);
+            warm_alone_cache(ex, configs, full.base_seed(), scale);
+        }
+        let observer = |p: &PointRun<'_>| {
+            if let Some(w) = &watch {
+                w.point_done(p.key, false, p.queue_wait_ms, p.wall_ms);
+            }
+        };
+        let (_, run) = ex.run_observed(
+            &full,
+            |sc| {
+                let (ms, t) = point(sc);
+                ((), ms, t)
+            },
+            Some(&observer),
+        );
+        (run, None)
+    };
+    if let Some(w) = watch {
+        w.finish(&run, stats.as_ref());
+    }
+    opts.obs.report_slow(&run);
+    let means = run.mean_over("mix", "ws");
+    WsTable { run, stats, means }
 }
 
 /// One weighted-speedup point: simulate, normalize each core by its
-/// workload's alone-IPC, optionally add the channel-level metrics — the
-/// task body both the cached and the uncached runner execute.
-fn ws_point_task(
-    sc: Scenario<'_, SystemConfig>,
-    scale: Scale,
-    channel_stats: bool,
-) -> (Vec<Metric>, Option<PointTelemetry>) {
-    let (ms, t, _) = ws_point_task_phased(sc, scale, channel_stats);
-    (ms, t)
-}
-
-/// [`ws_point_task`] additionally reporting its phase split `(warmup_ms,
+/// workload's alone-IPC, optionally add the channel-level metrics
+/// ([`Task::WsStats`]). Also reports the phase split `(warmup_ms,
 /// measure_ms)`: measure is the simulation proper, warmup the alone-IPC
 /// normalization work (≈0 when the memo is already warm). The remainder of
 /// the point's wall — metric assembly, result hand-off — is the serialize
 /// phase, computed by the observer as `wall - warmup - measure`.
-fn ws_point_task_phased(
+pub(crate) fn ws_point_task(
     sc: Scenario<'_, SystemConfig>,
     scale: Scale,
     channel_stats: bool,
@@ -519,101 +540,18 @@ fn ws_point_task_phased(
     (ms, Some(t), (warmup_ms, measure_ms))
 }
 
-/// Shared runner: simulates every point ([`ws_point_task`]) and collapses
-/// `mean_axis` (collapsing an absent axis is the identity grouping, so
-/// per-point tables fall out of the same path). With an active `cache`,
-/// the sweep goes through the store's plan/run path: hits replay, only
-/// misses are simulated — including their alone-IPC warmup, so a fully
-/// warm sweep performs zero simulations.
-fn run_ws_points(
-    ex: &Executor,
-    full: Sweep<SystemConfig>,
-    mean_axis: &str,
-    scale: Scale,
-    channel_stats: bool,
-    cache: &CacheSpec,
-    obs: &ObsSpec,
-) -> WsTable {
-    assert!(!full.is_empty(), "weighted-speedup sweep has no points");
-    let watch = obs.begin(full.name(), full.len(), ex.threads());
-    let task = |sc: Scenario<'_, SystemConfig>| {
-        let key = watch.as_ref().map(|_| sc.key.clone());
-        let (ms, t, phases) = ws_point_task_phased(sc, scale, channel_stats);
-        if let (Some(w), Some(key)) = (&watch, key) {
-            w.record_phases(&key, phases);
-        }
-        (ms, t)
-    };
-    let (run, stats) = if let Some(mut store) = cache.open_for(&full) {
-        let tag = if channel_stats { "ws+stats" } else { "ws" };
-        let plan = SweepPlan::compute(&store, &full, cache_salt(), |sc| {
-            ws_canonical(tag, sc.params)
-        });
-        warm_alone_cache(
-            ex,
-            plan.miss_indices().map(|i| &full.points()[i].1),
-            full.base_seed(),
-            scale,
-        );
-        let on_point = |o: PointOutcome<'_>| {
-            if let Some(w) = &watch {
-                w.point_done(
-                    &full.points()[o.index].0,
-                    o.cached,
-                    o.queue_wait_ms,
-                    o.point.wall_ms,
-                );
-            }
-        };
-        let (run, stats) = ex
-            .run_cached(&mut store, &full, &plan, task, Some(&on_point))
-            .unwrap_or_else(|e| {
-                panic!(
-                    "cache: cannot persist results at {}: {e}",
-                    store.dir().display()
-                )
-            });
-        cache.report(&stats);
-        (run, Some(stats))
-    } else {
-        warm_alone_cache(
-            ex,
-            full.points().iter().map(|(_, c)| c),
-            full.base_seed(),
-            scale,
-        );
-        let observer = |p: &PointRun<'_>| {
-            if let Some(w) = &watch {
-                w.point_done(p.key, false, p.queue_wait_ms, p.wall_ms);
-            }
-        };
-        let (_, run) = ex.run_observed(
-            &full,
-            |sc| {
-                let (ms, t) = task(sc);
-                ((), ms, t)
-            },
-            Some(&observer),
-        );
-        (run, None)
-    };
-    if let Some(w) = watch {
-        w.finish(&run, stats.as_ref());
-    }
-    obs.report_slow(&run);
-    let means = run.mean_over(mean_axis, "ws");
-    WsTable { run, means }
-}
-
-/// The kernel A/B task over one `(policy, mix)` point: time the dense and
-/// event kernels on the same configuration, assert their results are
-/// identical (the `next_wake` contract, enforced at every computed point),
-/// and return the wall-clock pair plus their ratio as metrics.
-fn perf_kernel_task(sc: Scenario<'_, SystemConfig>) -> (Vec<Metric>, Option<PointTelemetry>) {
+/// The kernel A/B task over one point: time the dense and event kernels
+/// on the same configuration, assert their results are identical (the
+/// `next_wake` contract, enforced at every computed point), and return
+/// the wall-clock pair plus their ratio as metrics. Both kernel runs are
+/// the measure phase; there is no warmup.
+fn perf_kernel_task(
+    sc: Scenario<'_, SystemConfig>,
+) -> (Vec<Metric>, Option<PointTelemetry>, (f64, f64)) {
     let base = sc.params;
     let timed = |kernel: KernelMode| {
         let cfg = base.clone().with_kernel(kernel);
-        let start = std::time::Instant::now();
+        let start = Instant::now();
         let result = System::new(cfg).run();
         (result, start.elapsed().as_secs_f64() * 1e3)
     };
@@ -631,127 +569,8 @@ fn perf_kernel_task(sc: Scenario<'_, SystemConfig>) -> (Vec<Metric>, Option<Poin
             metric("speedup", wall_dense / wall_event),
         ],
         None,
+        (0.0, wall_dense + wall_event),
     )
-}
-
-/// The `perf_kernel` binary's sweep: every `(policy, mix)` point timed
-/// under both kernels (`perf_kernel_task`), single-threaded so the
-/// wall-clock comparison measures the kernels, not the executor. Through
-/// an active `cache`, previously timed points replay their stored walls
-/// (the kernel-identity assertion ran when they were first computed) and
-/// a fully warm run is byte-reproducible; the returned stats say how many
-/// points actually ran.
-///
-/// # Panics
-///
-/// Panics when `policies` is empty, when the two kernels' results diverge
-/// at any computed point, or when the cache store cannot be opened or
-/// written.
-pub fn run_perf_kernel(
-    policies: &[(String, PolicyHandle)],
-    cap: f64,
-    scale: Scale,
-    cache: &CacheSpec,
-) -> (RunSet, CacheStats) {
-    run_perf_kernel_observed(policies, &[], cap, scale, cache, &ObsSpec::disabled())
-}
-
-/// [`run_perf_kernel`] with the observability selected by `obs` attached
-/// (see [`run_ws_observed`]) and an optional controller-plugin axis: with
-/// a non-empty `plugins`, every `(policy, mix)` point is crossed with the
-/// plugin axis and the dense-vs-event identity assertion runs with each
-/// plugin attached. The A/B timing itself is untouched.
-pub fn run_perf_kernel_observed(
-    policies: &[(String, PolicyHandle)],
-    plugins: &[(String, Option<PluginHandle>)],
-    cap: f64,
-    scale: Scale,
-    cache: &CacheSpec,
-    obs: &ObsSpec,
-) -> (RunSet, CacheStats) {
-    let mut points = Vec::new();
-    for (name, policy) in policies {
-        for mix_id in 0..scale.mixes {
-            let cfg = SystemConfig::table3(cap, policy.clone())
-                .with_insts(scale.insts, scale.warmup)
-                .with_workload(mix(mix_id));
-            let key = ScenarioKey::root()
-                .with("policy", name)
-                .with("mix", mix_id.to_string());
-            points.push((key, cfg));
-        }
-    }
-    let sweep = with_plugin_axis(
-        Sweep::from_points("perf_kernel", hira_engine::DEFAULT_BASE_SEED, points),
-        plugins,
-    );
-    assert!(!sweep.is_empty(), "perf_kernel sweep has no points");
-    let ex = Executor::with_threads(1);
-    let watch = obs.begin(sweep.name(), sweep.len(), ex.threads());
-    let task = |sc: Scenario<'_, SystemConfig>| {
-        let key = watch.as_ref().map(|_| sc.key.clone());
-        let t_measure = Instant::now();
-        let out = perf_kernel_task(sc);
-        if let (Some(w), Some(key)) = (&watch, key) {
-            // Both kernel runs are the measure phase; there is no warmup.
-            w.record_phases(&key, (0.0, t_measure.elapsed().as_secs_f64() * 1e3));
-        }
-        out
-    };
-    let via_cache;
-    let (run, stats) = if let Some(mut store) = cache.open_for(&sweep) {
-        via_cache = true;
-        let plan = SweepPlan::compute(&store, &sweep, cache_salt(), |sc| {
-            ws_canonical("perf_kernel", sc.params)
-        });
-        let on_point = |o: PointOutcome<'_>| {
-            if let Some(w) = &watch {
-                w.point_done(
-                    &sweep.points()[o.index].0,
-                    o.cached,
-                    o.queue_wait_ms,
-                    o.point.wall_ms,
-                );
-            }
-        };
-        let (run, stats) = ex
-            .run_cached(&mut store, &sweep, &plan, task, Some(&on_point))
-            .unwrap_or_else(|e| {
-                panic!(
-                    "cache: cannot persist results at {}: {e}",
-                    store.dir().display()
-                )
-            });
-        cache.report(&stats);
-        (run, stats)
-    } else {
-        via_cache = false;
-        let observer = |p: &PointRun<'_>| {
-            if let Some(w) = &watch {
-                w.point_done(p.key, false, p.queue_wait_ms, p.wall_ms);
-            }
-        };
-        let (_, run) = ex.run_observed(
-            &sweep,
-            |sc| {
-                let (ms, t) = task(sc);
-                ((), ms, t)
-            },
-            Some(&observer),
-        );
-        let stats = CacheStats {
-            points: run.records.len() / 3,
-            hits: 0,
-            misses: run.records.len() / 3,
-            appended: 0,
-        };
-        (run, stats)
-    };
-    if let Some(w) = watch {
-        w.finish(&run, via_cache.then_some(&stats));
-    }
-    obs.report_slow(&run);
-    (run, stats)
 }
 
 /// The canonical configuration string of one weighted-speedup point under
@@ -799,34 +618,28 @@ pub struct CacheSpec {
 }
 
 impl CacheSpec {
-    /// Parses the cache flags from the process arguments.
+    /// Parses the cache flags from an argument vector.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when `--cache=` names an empty path or is passed twice with
+    /// When `--cache=` names an empty path or is passed twice with
     /// different directories.
-    pub fn from_args() -> Self {
+    pub fn parse(args: &[String]) -> Result<Self, String> {
         let mut dir: Option<PathBuf> = None;
-        let mut no_cache = false;
-        let mut stats = false;
-        for a in std::env::args() {
-            if let Some(d) = a.strip_prefix("--cache=") {
-                assert!(!d.is_empty(), "--cache needs a directory: --cache=<dir>");
-                let d = PathBuf::from(d);
-                if let Some(prev) = &dir {
-                    assert_eq!(prev, &d, "--cache passed twice with different directories");
-                }
-                dir = Some(d);
-            } else if a == "--no-cache" {
-                no_cache = true;
-            } else if a == "--cache-stats" {
-                stats = true;
+        for d in args.iter().filter_map(|a| a.strip_prefix("--cache=")) {
+            if d.is_empty() {
+                return Err("--cache needs a directory: --cache=<dir>".into());
             }
+            if dir.as_ref().is_some_and(|prev| prev != Path::new(d)) {
+                return Err("--cache passed twice with different directories".into());
+            }
+            dir = Some(PathBuf::from(d));
         }
-        if no_cache {
-            dir = None;
-        }
-        CacheSpec { dir, stats }
+        let has = |flag: &str| args.iter().any(|a| a == flag);
+        Ok(CacheSpec {
+            dir: dir.filter(|_| !has("--no-cache")),
+            stats: has("--cache-stats"),
+        })
     }
 
     /// The inactive spec: every run simulates (the library default).
@@ -937,45 +750,37 @@ impl Default for ObsSpec {
 pub const SLOW_POINT_FACTOR: f64 = 3.0;
 
 impl ObsSpec {
-    /// Parses the observability flags from the process arguments.
+    /// Parses the observability flags from an argument vector.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when `--log-level=` does not name a level, or when
+    /// When `--log-level=` does not name a level, or when
     /// `--trace=`/`--metrics=` name an empty path.
-    pub fn from_args() -> Self {
+    pub fn parse(args: &[String]) -> Result<Self, String> {
         let default_dir = || {
             std::env::var("HIRA_BENCH_DIR")
                 .map(PathBuf::from)
                 .unwrap_or_else(|_| PathBuf::from("."))
         };
-        let mut trace = None;
-        let mut metrics = None;
-        let mut progress = false;
-        let mut level_arg: Option<String> = None;
-        for a in std::env::args() {
-            if a == "--trace" {
-                trace = Some(default_dir());
-            } else if let Some(p) = a.strip_prefix("--trace=") {
-                assert!(!p.is_empty(), "--trace needs a path: --trace=<path>");
-                trace = Some(PathBuf::from(p));
-            } else if a == "--metrics" {
-                metrics = Some(default_dir());
-            } else if let Some(p) = a.strip_prefix("--metrics=") {
-                assert!(!p.is_empty(), "--metrics needs a path: --metrics=<path>");
-                metrics = Some(PathBuf::from(p));
-            } else if a == "--progress" {
-                progress = true;
-            } else if let Some(l) = a.strip_prefix("--log-level=") {
-                level_arg = Some(l.to_owned());
+        let mut spec = ObsSpec::default();
+        let mut level = None;
+        for a in args {
+            let path = |flag: &str, p: &str| match p {
+                "" => Err(format!("{flag} needs a path: {flag}=<path>")),
+                p => Ok(Some(PathBuf::from(p))),
+            };
+            match a.split_once('=') {
+                None if a == "--trace" => spec.trace = Some(default_dir()),
+                None if a == "--metrics" => spec.metrics = Some(default_dir()),
+                None if a == "--progress" => spec.progress = true,
+                Some(("--trace", p)) => spec.trace = path("--trace", p)?,
+                Some(("--metrics", p)) => spec.metrics = path("--metrics", p)?,
+                Some(("--log-level", l)) => level = Some(l.parse()?),
+                _ => {}
             }
         }
-        ObsSpec {
-            trace,
-            metrics,
-            progress,
-            level: Level::resolve(level_arg.as_deref()),
-        }
+        spec.level = level.unwrap_or_else(Level::from_env);
+        Ok(spec)
     }
 
     /// The inactive spec: no tracing, no metrics, no progress (the
@@ -987,37 +792,6 @@ impl ObsSpec {
     /// True when any observability flag was passed.
     pub fn is_active(&self) -> bool {
         self.trace.is_some() || self.metrics.is_some() || self.progress
-    }
-
-    /// Traces into `path` — a `.jsonl` file, or a directory to derive
-    /// per-sweep file names in (the programmatic form of `--trace=`).
-    pub fn with_trace(mut self, path: impl Into<PathBuf>) -> Self {
-        self.trace = Some(path.into());
-        self
-    }
-
-    /// Dumps metrics at `path` — a file when it has an extension, a
-    /// directory otherwise (the programmatic form of `--metrics=`).
-    pub fn with_metrics(mut self, path: impl Into<PathBuf>) -> Self {
-        self.metrics = Some(path.into());
-        self
-    }
-
-    /// Streams live progress to stderr (the programmatic `--progress`).
-    pub fn with_progress(mut self) -> Self {
-        self.progress = true;
-        self
-    }
-
-    /// Sets the trace level (the programmatic `--log-level=`).
-    pub fn with_level(mut self, level: Level) -> Self {
-        self.level = level;
-        self
-    }
-
-    /// The effective trace level.
-    pub fn level(&self) -> Level {
-        self.level
     }
 
     /// Starts observing one sweep: opens the trace sink, creates the
@@ -1116,36 +890,31 @@ impl ObsSpec {
     }
 }
 
-/// Total kernel iterations of `run`: each point's telemetry counted once
-/// (a `ws+stats` point has several records sharing one simulation).
-pub(crate) fn kernel_events(run: &RunSet) -> u64 {
-    let mut seen: Vec<&ScenarioKey> = Vec::new();
-    let mut events = 0u64;
+/// The first record of every point of `run`, in point order — a point's
+/// records (one per metric) share one simulation, wall and telemetry.
+fn point_records(run: &RunSet) -> Vec<&RunRecord> {
+    let mut points: Vec<&RunRecord> = Vec::new();
     for r in &run.records {
-        let Some(t) = r.telemetry else { continue };
-        if seen.contains(&&r.key) {
-            continue;
+        if !points.iter().any(|p| p.key == r.key) {
+            points.push(r);
         }
-        seen.push(&r.key);
-        events += t.events;
     }
-    events
+    points
+}
+
+/// Total kernel iterations of `run`, each point's telemetry counted once.
+pub(crate) fn kernel_events(run: &RunSet) -> u64 {
+    let telemetry = point_records(run).into_iter().filter_map(|r| r.telemetry);
+    telemetry.map(|t| t.events).sum()
 }
 
 /// The per-point walls of `run` that exceed `k` × the median point wall:
-/// `(median, outliers in point order)`. Walls are per *point* (each key's
-/// records share one wall), so a sweep with several metrics per point
-/// still counts each point once.
+/// `(median, outliers in point order)`, each point counted once.
 pub fn slow_points(run: &RunSet, k: f64) -> (f64, Vec<(ScenarioKey, f64)>) {
-    let mut seen: Vec<&ScenarioKey> = Vec::new();
-    let mut walls: Vec<(ScenarioKey, f64)> = Vec::new();
-    for r in &run.records {
-        if seen.contains(&&r.key) {
-            continue;
-        }
-        seen.push(&r.key);
-        walls.push((r.key.clone(), r.wall_ms));
-    }
+    let walls: Vec<(ScenarioKey, f64)> = point_records(run)
+        .into_iter()
+        .map(|r| (r.key.clone(), r.wall_ms))
+        .collect();
     let mut sorted: Vec<f64> = walls.iter().map(|(_, w)| *w).collect();
     sorted.sort_by(f64::total_cmp);
     let n = sorted.len();
@@ -1339,14 +1108,6 @@ impl ObsRun {
     }
 }
 
-/// Mean weighted speedup of a single configuration over the mix suite —
-/// a one-point [`run_ws`] sweep.
-pub fn mean_ws(base_cfg: &SystemConfig, scale: Scale) -> f64 {
-    let mut sweep = Sweep::from_points("mean_ws", hira_engine::DEFAULT_BASE_SEED, Vec::new());
-    sweep.push(ScenarioKey::root(), base_cfg.clone());
-    run_ws(&Executor::from_env(), sweep, scale).mean(&[])
-}
-
 /// The periodic-refresh policies of Fig. 9 (display label, registry
 /// handle). The HiRA variants can be ablated through
 /// [`periodic_schemes_ablated`].
@@ -1399,81 +1160,6 @@ pub fn preventive_schemes_geometry(nrh: u32) -> Vec<(&'static str, PolicyHandle)
         .collect()
 }
 
-/// Prints every registered refresh policy with its one-line summary (the
-/// `--list` output of [`policy_axis_from_args`]).
-pub fn print_policy_list() {
-    println!("registered refresh policies (--policy=<name>):");
-    for h in PolicyRegistry::standard().handles() {
-        println!("  {:<12} {}", h.name(), h.summary());
-    }
-    println!(
-        "  {:<12} (dynamic) any slack point: tRefSlack = N*tRC",
-        "hira<N>"
-    );
-}
-
-/// Prints every registered device with its one-line summary (the
-/// `--list` output of [`device_axis_from_args_or`]).
-pub fn print_device_list() {
-    println!("registered devices (--device=<name>):");
-    for h in DeviceRegistry::standard().handles() {
-        println!("  {:<18} {}", h.name(), h.summary());
-    }
-    println!(
-        "  {:<18} (dynamic) DDR4-2400 part pinned at <Gb> (tRFC fixed)",
-        "ddr4-2400@<Gb>"
-    );
-}
-
-/// Prints every registered workload with its family and one-line summary
-/// (the `--list` output of [`workload_axis_from_args`]).
-pub fn print_workload_list() {
-    println!("registered workloads (--workload=<name>):");
-    for h in WorkloadRegistry::standard().handles() {
-        println!("  {:<12} [{}] {}", h.name(), h.family(), h.summary());
-    }
-    for (form, what) in [
-        (
-            "mix<N>",
-            "multiprogrammed roster mix N of the standard suite",
-        ),
-        ("zipf<N>", "zipfian generator with theta = N/100"),
-        (
-            "rw<N>",
-            "uniform-random generator with N% stores (N <= 100)",
-        ),
-        (
-            "open<N>",
-            "open-loop generator at N accesses per kinst (N >= 1)",
-        ),
-        ("trace:<path>", "replay of the .trace file at <path>"),
-    ] {
-        println!("  {form:<12} (dynamic) {what}");
-    }
-}
-
-/// Prints the accepted probe forms (the `--probe=` grammar of
-/// [`ProbeSpec::from_args`]) with the CLI shorthands.
-pub fn print_probe_list() {
-    println!("probe forms (--probe=<form>, repeatable):");
-    for (form, what) in ProbeRegistry::standard().forms() {
-        println!("  {form:<28} {what}");
-    }
-    for (short, what) in [
-        (
-            "--cmdtrace=<prefix>",
-            "shorthand for --probe=cmdtrace:<prefix>",
-        ),
-        (
-            "--stats-epoch=<cycles>",
-            "shorthand for --probe=epochs:<cycles>",
-        ),
-        ("--telemetry", "print the per-point run telemetry table"),
-    ] {
-        println!("  {short:<28} {what}");
-    }
-}
-
 /// The probe selection of a sweep binary: every `--probe=<form>` argument
 /// (repeatable; see [`hira_sim::ProbeRegistry`] for the grammar) plus the
 /// shorthands `--cmdtrace=<prefix>` and `--stats-epoch=<cycles>`. Probes
@@ -1486,28 +1172,27 @@ pub struct ProbeSpec {
 }
 
 impl ProbeSpec {
-    /// Parses the probe flags from the process arguments.
+    /// Parses the probe flags from an argument vector.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics (with the accepted forms) when a spec does not resolve —
-    /// before any simulation runs.
-    pub fn from_args() -> Self {
-        let mut specs = axis_args("probe");
-        specs.extend(
-            axis_args("cmdtrace")
-                .into_iter()
-                .map(|p| format!("cmdtrace:{p}")),
-        );
-        specs.extend(
-            axis_args("stats-epoch")
-                .into_iter()
-                .map(|e| format!("epochs:{e}")),
-        );
-        for s in &specs {
-            let _ = hira_sim::probe::probe(s);
+    /// Names the first spec that does not resolve (with the accepted
+    /// forms) — before any simulation runs.
+    pub fn parse(args: &[String]) -> Result<Self, String> {
+        let mut specs = grid::flag_values(args, "probe");
+        for (flag, kind) in [("cmdtrace", "cmdtrace"), ("stats-epoch", "epochs")] {
+            let values = grid::flag_values(args, flag);
+            specs.extend(values.into_iter().map(|v| format!("{kind}:{v}")));
         }
-        ProbeSpec { specs }
+        let registry = ProbeRegistry::standard();
+        if let Some(bad) = specs.iter().find(|s| registry.lookup(s).is_none()) {
+            let forms: Vec<&str> = registry.forms().into_iter().map(|(f, _)| f).collect();
+            return Err(format!(
+                "unknown probe spec `{bad}` (accepted forms: {})",
+                forms.join(", ")
+            ));
+        }
+        Ok(ProbeSpec { specs })
     }
 
     /// True when any probe flag was passed.
@@ -1571,201 +1256,6 @@ fn per_point_spec(spec: &str, tag: &str) -> String {
     }
 }
 
-/// True when `--telemetry` was passed: the binary prints the per-point
-/// run telemetry table after its result tables.
-pub fn telemetry_requested() -> bool {
-    std::env::args().any(|a| a == "--telemetry")
-}
-
-/// Prints the run's telemetry table when `--telemetry` was passed (and
-/// the run carries any telemetry).
-pub fn maybe_print_telemetry(run: &RunSet) {
-    if !telemetry_requested() {
-        return;
-    }
-    let table = run.telemetry_table();
-    if table.is_empty() {
-        println!("\n(no run telemetry recorded)");
-    } else {
-        println!("\n-- run telemetry: wall time, kernel events, peak queue per point --");
-        print!("{table}");
-    }
-}
-
-/// Extracts the first `metric` record's value from a `BENCH_*.json`
-/// payload — a targeted scan for the perf-baseline check (the emitter
-/// writes `"metric":"<name>","value":<v>` adjacently), not a general JSON
-/// parser.
-pub fn extract_metric_value(json: &str, metric: &str) -> Option<f64> {
-    let needle = format!("\"metric\":\"{metric}\",\"value\":");
-    let at = json.find(&needle)? + needle.len();
-    let rest = &json[at..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
-/// True when `--list` was passed: the caller's axis helper prints its
-/// registry and exits.
-fn list_requested() -> bool {
-    std::env::args().any(|a| a == "--list")
-}
-
-/// Collects the comma-separated values of every `--<flag>=` argument.
-fn axis_args(flag: &str) -> Vec<String> {
-    let prefix = format!("--{flag}=");
-    std::env::args()
-        .filter_map(|a| a.strip_prefix(&prefix).map(str::to_owned))
-        .flat_map(|list| {
-            list.split(',')
-                .map(str::trim)
-                .filter(|s| !s.is_empty())
-                .map(str::to_owned)
-                .collect::<Vec<_>>()
-        })
-        .collect()
-}
-
-/// Shared implementation of every `--<flag>=` axis helper: print the
-/// registry and exit on `--list`, otherwise resolve the selected names —
-/// or `defaults` when none were passed — through `resolve` (which panics,
-/// with the registered names, on an unknown name).
-fn axis_from_args_or_with<T>(
-    flag: &str,
-    defaults: &[&str],
-    print_list: fn(),
-    resolve: impl Fn(&str) -> T,
-) -> Vec<(String, T)> {
-    if list_requested() {
-        print_list();
-        std::process::exit(0);
-    }
-    let mut selected = axis_args(flag);
-    if selected.is_empty() {
-        selected = defaults.iter().map(|s| (*s).to_owned()).collect();
-    }
-    selected
-        .into_iter()
-        .map(|name| {
-            let handle = resolve(&name);
-            (name, handle)
-        })
-        .collect()
-}
-
-/// The policy axis of a sweep, from `--policy=` CLI arguments: every
-/// `--policy=name[,name...]` argument adds registry lookups (label =
-/// registry key), and with no such argument every policy in the standard
-/// registry is swept. This is how bench binaries select refresh policies —
-/// an open, string-keyed axis instead of enum plumbing. With `--list`,
-/// prints every registered policy (name + profile one-liner) and exits.
-///
-/// # Panics
-///
-/// Panics (with the registered names) when an argument names an unknown
-/// policy.
-pub fn policy_axis_from_args() -> Vec<(String, PolicyHandle)> {
-    let registry = PolicyRegistry::standard();
-    let names = registry.names();
-    policy_axis_from_args_or(&names)
-}
-
-/// The policy axis of a sweep, from `--policy=` CLI arguments, with
-/// `defaults` (registry names) when no argument selects one — for
-/// binaries whose full-registry default would be too wide a grid.
-///
-/// # Panics
-///
-/// Panics (with the registered names) when an argument — or a default —
-/// names an unknown policy.
-pub fn policy_axis_from_args_or(defaults: &[&str]) -> Vec<(String, PolicyHandle)> {
-    axis_from_args_or_with("policy", defaults, print_policy_list, policy::policy)
-}
-
-/// The device axis of a sweep, from `--device=` CLI arguments, with
-/// `defaults` (registry names) when no argument selects one. With
-/// `--list`, prints every registered device (name + summary, plus the
-/// dynamic `ddr4-2400@<Gb>` form) and exits.
-///
-/// # Panics
-///
-/// Panics (with the registered names) when an argument — or a default —
-/// names an unknown device.
-pub fn device_axis_from_args_or(defaults: &[&str]) -> Vec<(String, DeviceHandle)> {
-    axis_from_args_or_with("device", defaults, print_device_list, |n| {
-        hira_sim::device::device(n)
-    })
-}
-
-/// The workload axis of a sweep, from `--workload=` CLI arguments, with
-/// `defaults` (registry names) when no argument selects one. With
-/// `--list`, prints every registered workload (name, family, profile
-/// one-liner, plus the dynamic forms) and exits.
-///
-/// # Panics
-///
-/// Panics (with the registered names) when an argument — or a default —
-/// names an unknown workload.
-pub fn workload_axis_from_args_or(defaults: &[&str]) -> Vec<(String, WorkloadHandle)> {
-    axis_from_args_or_with("workload", defaults, print_workload_list, |n| {
-        hira_workload::workload(n)
-    })
-}
-
-/// [`workload_axis_from_args_or`] defaulting to the full standard registry.
-pub fn workload_axis_from_args() -> Vec<(String, WorkloadHandle)> {
-    let registry = WorkloadRegistry::standard();
-    let names = registry.names();
-    workload_axis_from_args_or(&names)
-}
-
-/// Prints the accepted controller-plugin forms (the `--plugin=` grammar of
-/// [`plugin_axis_from_args`]) plus the `none` baseline.
-pub fn print_plugin_list() {
-    println!("controller plugins (--plugin=<form>, repeatable):");
-    println!(
-        "  {:<20} no plugin attached (the undefended baseline)",
-        "none"
-    );
-    for (form, what) in PluginRegistry::standard().forms() {
-        println!("  {form:<20} (dynamic) {what}");
-    }
-}
-
-/// The controller-plugin axis of a sweep, from `--plugin=` CLI arguments,
-/// with `defaults` (registry forms, or `"none"`) when no argument selects
-/// one. Each entry is the canonical plugin name paired with `Some(handle)`
-/// — or `"none"` / `None` for the undefended baseline point. With
-/// `--list`, prints the accepted forms and exits.
-///
-/// # Panics
-///
-/// Panics (with the accepted forms) when an argument — or a default —
-/// matches no plugin form.
-pub fn plugin_axis_from_args_or(defaults: &[&str]) -> Vec<(String, Option<PluginHandle>)> {
-    let axis = axis_from_args_or_with("plugin", defaults, print_plugin_list, |spec| {
-        (spec != "none").then(|| hira_sim::plugin::plugin(spec))
-    });
-    axis.into_iter()
-        // Key by the handle's *canonical* name (`oracle:01024` and
-        // `oracle:1024` must land on one scenario key / cache entry).
-        .map(|(raw, h)| match h {
-            Some(h) => (h.name().to_owned(), Some(h)),
-            None => (raw, None),
-        })
-        .collect()
-}
-
-/// The controller-plugin axis selected by explicit `--plugin=` arguments
-/// only: empty when the flag was never passed. The matrix binaries use
-/// this to add a `plugin` scenario-key axis *opt-in* — without the flag
-/// their sweeps (and the committed `BENCH_*.json` keys) are unchanged.
-pub fn plugin_axis_from_args() -> Vec<(String, Option<PluginHandle>)> {
-    if axis_args("plugin").is_empty() && !list_requested() {
-        return Vec::new();
-    }
-    plugin_axis_from_args_or(&[])
-}
-
 /// Expands `sweep` with a `plugin` scenario-key axis when `plugins` is
 /// non-empty (each point's config gains the entry's handle; the `none` /
 /// `None` entry leaves it untouched), and passes the sweep through
@@ -1783,50 +1273,50 @@ pub fn with_plugin_axis(
     })
 }
 
-/// Prints the accepted kernel modes (the `--kernel=` values of
-/// [`kernel_from_args`]) — the `--list` output every axis helper offers.
-pub fn print_kernel_list() {
-    println!("simulation kernels (--kernel=<name>):");
-    for (name, what) in [
-        ("event", "event-driven time-skipping kernel (default)"),
-        ("dense", "cycle-by-cycle reference kernel (bit-identical)"),
-    ] {
-        println!("  {name:<12} {what}");
-    }
-}
-
-/// The simulation kernel selected by `--kernel=dense|event` (default:
-/// [`KernelMode::Event`], the fast path). The dense kernel is the
-/// bit-identical legacy reference — `--kernel=dense` is the escape hatch
-/// for A/B-ing a result against it (see the `perf_kernel` binary for the
-/// systematic harness). With `--list`, prints the accepted modes and exits
-/// — the same contract as every other axis helper.
-///
-/// # Panics
-///
-/// Panics when the argument names an unknown kernel mode.
-pub fn kernel_from_args() -> KernelMode {
-    if list_requested() {
-        print_kernel_list();
-        std::process::exit(0);
-    }
-    let selected = axis_args("kernel");
-    assert!(
-        selected.len() <= 1,
-        "--kernel selects the run's single kernel mode, not an axis: got {selected:?} \
-         (use the perf_kernel binary to A/B both kernels)"
-    );
-    selected
-        .first()
-        .map(|name| name.parse().expect("--kernel"))
-        .unwrap_or_default()
-}
-
 /// `p_th` for a RowHammer threshold under the §9.1 analysis, with the slack
 /// of the given HiRA-N (0 for plain PARA).
 pub fn pth_for(nrh: u32, slack_acts: u32) -> f64 {
     let params = hira_core::security::SecurityParams::paper_defaults(slack_acts);
     hira_core::security::solve_pth(&params, nrh)
+}
+
+/// Mean of `metric` over the records of `run` matching `filters` — `None`
+/// when no record matches (a skipped or metric-free cell).
+pub fn mean_of(run: &RunSet, metric: &str, filters: &[(&str, &str)]) -> Option<f64> {
+    let vals: Vec<f64> = run
+        .records
+        .iter()
+        .filter(|r| r.metric == metric && r.key.matches(filters))
+        .map(|r| r.value)
+        .collect();
+    (!vals.is_empty()).then(|| vals.iter().sum::<f64>() / vals.len() as f64)
+}
+
+/// One table cell: the value, or `-` for an absent cell (never a silent
+/// zero).
+pub fn cell(v: Option<f64>) -> String {
+    v.map_or_else(|| format!("{:>8}", "-"), |v| format!("{v:>8.4}"))
+}
+
+/// A column of [`print_means`]: header, metric, width, precision.
+pub type Column = (&'static str, &'static str, usize, usize);
+
+/// Prints a table of metric means: one row per `(label, filters)`, one
+/// cell per column — [`mean_of`] over the matching records, `-` when
+/// absent.
+pub fn print_means(run: &RunSet, rows: &[(&str, Vec<(&str, &str)>)], cols: &[Column]) {
+    let header: Vec<String> = cols.iter().map(|(h, _, w, _)| format!("{h:>w$}")).collect();
+    println!("{:<18} {}", "", header.join(" "));
+    for (label, filters) in rows {
+        let cells: Vec<String> = cols
+            .iter()
+            .map(|&(_, m, w, p)| match mean_of(run, m, filters) {
+                Some(v) => format!("{v:>w$.p$}"),
+                None => format!("{:>w$}", "-"),
+            })
+            .collect();
+        println!("{label:<18} {}", cells.join(" "));
+    }
 }
 
 /// Formats one numeric series row for the harness output.
@@ -1877,7 +1367,11 @@ mod tests {
             ],
             |_, s| SystemConfig::table3(8.0, s.clone()),
         );
-        let t = run_ws(&Executor::with_threads(2), sweep, tiny_scale());
+        let t = run(
+            &Executor::with_threads(2),
+            with_mix_axis(sweep, tiny_scale()),
+            &RunOpts::new(tiny_scale(), Task::Ws),
+        );
         assert_eq!(t.means().len(), 2);
         // The mean over the mix axis really is the average of the records.
         let per_mix: Vec<f64> = t
@@ -1908,7 +1402,11 @@ mod tests {
                 .build()
                 .unwrap()
         });
-        let t = run_ws_with_stats(&Executor::with_threads(2), sweep, tiny_scale());
+        let t = run(
+            &Executor::with_threads(2),
+            sweep,
+            &RunOpts::new(tiny_scale(), Task::WsStats),
+        );
         for m in ["ws", "read_lat", "write_lat", "dbus"] {
             assert!(
                 t.run.records.iter().any(|r| r.metric == m),
@@ -1950,7 +1448,12 @@ mod tests {
             ScenarioKey::root(),
             SystemConfig::table3(8.0, policy::baseline()),
         );
-        let t = run_ws(&Executor::with_threads(1), sweep, tiny_scale());
+        let scale = tiny_scale();
+        let t = run(
+            &Executor::with_threads(1),
+            with_mix_axis(sweep, scale),
+            &RunOpts::new(scale, Task::Ws),
+        );
         for r in &t.run.records {
             let tel = r.telemetry.expect("every ws record carries telemetry");
             assert!(tel.events > 0);
@@ -2025,23 +1528,6 @@ mod tests {
     }
 
     #[test]
-    fn extract_metric_value_reads_bench_json() {
-        let json = r#"{"sweep":"x","records":[{"key":{},"metric":"speedup","value":2.5,"wall_ms":1},{"key":{},"metric":"speedup_total","value":3.25}]}"#;
-        assert_eq!(extract_metric_value(json, "speedup_total"), Some(3.25));
-        assert_eq!(extract_metric_value(json, "speedup"), Some(2.5));
-        assert_eq!(extract_metric_value(json, "nope"), None);
-    }
-
-    #[test]
-    fn mean_ws_agrees_with_single_point_sweep() {
-        let scale = tiny_scale();
-        let cfg = SystemConfig::table3(8.0, policy::baseline());
-        let a = mean_ws(&cfg, scale);
-        let b = mean_ws(&cfg, scale);
-        assert_eq!(a, b, "mean_ws must be deterministic");
-    }
-
-    #[test]
     fn ws_canonical_separates_tasks_and_configs() {
         let a = SystemConfig::table3(8.0, policy::baseline());
         let b = SystemConfig::table3(64.0, policy::baseline());
@@ -2093,31 +1579,24 @@ mod tests {
                 |_, p| SystemConfig::table3(8.0, p.clone()),
             )
         };
-        let uncached = run_ws(&Executor::with_threads(2), mk(), scale);
-        let spec = CacheSpec::at(&dir);
-        let cold = run_ws_probed_cached(
-            &Executor::with_threads(2),
-            mk(),
-            scale,
-            &ProbeSpec::default(),
-            &spec,
-        );
-        let warm = run_ws_probed_cached(
-            &Executor::with_threads(2),
-            mk(),
-            scale,
-            &ProbeSpec::default(),
-            &spec,
-        );
+        let ws = |threads: usize, cache: CacheSpec| {
+            let opts = RunOpts {
+                cache,
+                ..RunOpts::new(scale, Task::Ws)
+            };
+            run(
+                &Executor::with_threads(threads),
+                with_mix_axis(mk(), scale),
+                &opts,
+            )
+        };
+        let uncached = ws(2, CacheSpec::disabled());
+        let cold = ws(2, CacheSpec::at(&dir));
+        let warm = ws(2, CacheSpec::at(&dir));
         // A different worker count on a warm store must not matter either:
         // nothing runs, so only the reported thread width can change.
-        let warm_serial = run_ws_probed_cached(
-            &Executor::with_threads(1),
-            mk(),
-            scale,
-            &ProbeSpec::default(),
-            &spec,
-        );
+        let warm_serial = ws(1, CacheSpec::at(&dir));
+        assert_eq!(warm.stats.map(|s| s.hits), Some(4), "a warm pass replays");
         assert_eq!(
             uncached.run.canonical_json(),
             cold.run.canonical_json(),

@@ -57,14 +57,17 @@
 //!   `{"op":"metrics"}`: one JSON string holding the Prometheus text.
 //! * `{"event":"bye"}` — shutdown (op or end of input).
 
-use crate::{cache_salt, kernel_events, ws_canonical, ws_point_task, CacheSpec, Meters, Scale};
+use crate::{
+    cache_salt, kernel_events, ws_canonical, ws_point_task, AxisKind, CacheSpec, GridSpec, Meters,
+    Scale,
+};
 use hira_engine::json::{self, Value};
 use hira_engine::{flabel, Executor, ScenarioKey, Sweep};
 use hira_obs::{field, Counter, Gauge, Level, MetricsRegistry, Progress, TraceSink};
-use hira_sim::builder::{BuildError, SystemBuilder};
 use hira_sim::config::SystemConfig;
 use hira_store::{CacheExecutorExt, CacheStats, SweepPlan, SweepStore};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// One parsed request line.
@@ -80,7 +83,7 @@ pub enum Op {
     Shutdown,
 }
 
-/// A grid-sweep request: policy × workload (× device × capacity).
+/// A grid-sweep request: policy × workload (× device × capacity × plugin).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepSpec {
     /// Client correlation token, echoed on every event of this sweep.
@@ -89,34 +92,32 @@ pub struct SweepSpec {
     pub name: String,
     /// `true` → the `ws+stats` task (channel metrics besides `ws`).
     pub channel_stats: bool,
-    /// Policy axis (registry names; default `["baseline"]`).
-    pub policies: Vec<String>,
-    /// Workload axis (registry names; default `["mix0"]`).
-    pub workloads: Vec<String>,
-    /// Optional device axis (absent → builder default, no `dev` axis).
-    pub devices: Vec<String>,
-    /// Optional capacity axis in Gb (absent → Table 3 capacity, no `cap`
-    /// axis).
-    pub caps: Vec<f64>,
-    /// Optional controller-plugin axis (`--plugin=` forms, `"none"` for
-    /// the undefended baseline point; absent → no `plugin` axis).
-    pub plugins: Vec<String>,
+    /// The grid's axes in key order, as unresolved names: `policy`
+    /// (default `["baseline"]`), `wl` (default `["mix0"]`), then the
+    /// optional `dev`, `cap` (Gb labels) and `plugin` axes, present only
+    /// when the request names values for them.
+    pub axes: Vec<(AxisKind, Vec<String>)>,
     /// Measured instructions per core (absent → the session [`Scale`]).
     pub insts: Option<u64>,
 }
 
-fn str_list(v: &Value, field: &str) -> Result<Vec<String>, String> {
+/// The optional array `field` of `v` as axis names: strings, or numbers
+/// rendered as labels (`8` not `8.0`, see [`flabel`]).
+fn names(v: &Value, field: &str, numbers: bool) -> Result<Vec<String>, String> {
+    let what = if numbers { "numbers" } else { "strings" };
+    let err = || format!("`{field}` must be an array of {what}");
+    let name = |e: &Value| match e {
+        Value::Num(n) if numbers => Some(flabel(*n)),
+        Value::Str(s) if !numbers => Some(s.clone()),
+        _ => None,
+    };
     match v.get(field) {
         None => Ok(Vec::new()),
         Some(list) => list
             .as_arr()
-            .ok_or_else(|| format!("`{field}` must be an array of strings"))?
+            .ok_or_else(err)?
             .iter()
-            .map(|e| {
-                e.as_str()
-                    .map(str::to_owned)
-                    .ok_or_else(|| format!("`{field}` must be an array of strings"))
-            })
+            .map(|e| name(e).ok_or_else(err))
             .collect(),
     }
 }
@@ -162,25 +163,22 @@ pub fn parse_op(line: &str) -> Result<Op, String> {
                     ))
                 }
             };
-            let mut policies = str_list(&v, "policies")?;
-            if policies.is_empty() {
-                policies.push("baseline".to_owned());
+            let mut axes = Vec::new();
+            for (field, kind, default) in [
+                ("policies", AxisKind::Policy, Some("baseline")),
+                ("workloads", AxisKind::Workload, Some("mix0")),
+                ("devices", AxisKind::Device, None),
+                ("caps", AxisKind::Cap, None),
+                ("plugins", AxisKind::Plugin, None),
+            ] {
+                let mut values = names(&v, field, kind == AxisKind::Cap)?;
+                if values.is_empty() {
+                    values.extend(default.map(str::to_owned));
+                }
+                if !values.is_empty() {
+                    axes.push((kind, values));
+                }
             }
-            let mut workloads = str_list(&v, "workloads")?;
-            if workloads.is_empty() {
-                workloads.push("mix0".to_owned());
-            }
-            let devices = str_list(&v, "devices")?;
-            let plugins = str_list(&v, "plugins")?;
-            let caps = match v.get("caps") {
-                None => Vec::new(),
-                Some(list) => list
-                    .as_arr()
-                    .ok_or("`caps` must be an array of numbers")?
-                    .iter()
-                    .map(|e| e.as_f64().ok_or("`caps` must be an array of numbers"))
-                    .collect::<Result<Vec<f64>, _>>()?,
-            };
             let insts = match v.get("insts") {
                 None => None,
                 Some(n) => Some(n.as_u64().ok_or("`insts` must be a positive integer")?),
@@ -189,11 +187,7 @@ pub fn parse_op(line: &str) -> Result<Op, String> {
                 id,
                 name,
                 channel_stats,
-                policies,
-                workloads,
-                devices,
-                caps,
-                plugins,
+                axes,
                 insts,
             }))
         }
@@ -202,113 +196,24 @@ pub fn parse_op(line: &str) -> Result<Op, String> {
 }
 
 impl SweepSpec {
-    /// Builds the grid: policy × workload (× device × cap × plugin),
-    /// resolving every name against the standard registries. Combos the
+    /// Builds the grid through the shared [`GridSpec`] builder. Combos the
     /// builder rejects as HiRA-incompatible — or as pairing a
     /// directed-refresh defense with a part that drops VRR — are skipped
-    /// (second return); any other build failure or unknown name rejects
-    /// the whole spec.
+    /// (second return: how many); any other build failure or unknown name
+    /// rejects the whole spec.
     ///
     /// # Errors
     ///
     /// Returns a message (for an `error` event) on unknown registry names,
     /// non-geometry build errors, or an empty grid.
     pub fn build(&self, scale: Scale) -> Result<(Sweep<SystemConfig>, usize), String> {
-        let policy_reg = hira_sim::policy::PolicyRegistry::standard();
-        let device_reg = hira_sim::device::DeviceRegistry::standard();
-        let workload_reg = hira_workload::WorkloadRegistry::standard();
-        let plugin_reg = hira_sim::plugin::PluginRegistry::standard();
-        let insts = self.insts.unwrap_or(scale.insts);
-        let warmup = insts / 5;
-
-        // Resolve the plugin axis once up front: unknown forms reject the
-        // spec before any cell builds. `"none"` is the undefended point.
-        let plugins: Vec<(Option<String>, Option<hira_sim::plugin::PluginHandle>)> =
-            if self.plugins.is_empty() {
-                vec![(None, None)]
-            } else {
-                self.plugins
-                    .iter()
-                    .map(|gn| {
-                        if gn == "none" {
-                            return Ok((Some("none".to_owned()), None));
-                        }
-                        let h = plugin_reg
-                            .lookup(gn)
-                            .ok_or_else(|| format!("unknown plugin `{gn}`"))?;
-                        Ok((Some(h.name().to_owned()), Some(h)))
-                    })
-                    .collect::<Result<_, String>>()?
-            };
-
-        let mut points = Vec::new();
-        let mut skipped = 0usize;
-        for pn in &self.policies {
-            let p = policy_reg
-                .lookup(pn)
-                .ok_or_else(|| format!("unknown policy `{pn}`"))?;
-            for wn in &self.workloads {
-                let w = workload_reg
-                    .lookup(wn)
-                    .ok_or_else(|| format!("unknown workload `{wn}`"))?;
-                // Optional axes expand to a single no-axis pseudo-value.
-                let devs: Vec<Option<&str>> = if self.devices.is_empty() {
-                    vec![None]
-                } else {
-                    self.devices.iter().map(|d| Some(d.as_str())).collect()
-                };
-                for dn in devs {
-                    let caps: Vec<Option<f64>> = if self.caps.is_empty() {
-                        vec![None]
-                    } else {
-                        self.caps.iter().map(|&c| Some(c)).collect()
-                    };
-                    for cap in caps {
-                        for (gn, g) in &plugins {
-                            let mut b = SystemBuilder::new()
-                                .policy(p.clone())
-                                .workload(w.clone())
-                                .insts(insts, warmup);
-                            if let Some(dn) = dn {
-                                let d = device_reg
-                                    .lookup(dn)
-                                    .ok_or_else(|| format!("unknown device `{dn}`"))?;
-                                b = b.device(d);
-                            }
-                            if let Some(c) = cap {
-                                b = b.chip_gbit(c);
-                            }
-                            if let Some(g) = g {
-                                b = b.plugin(g.clone());
-                            }
-                            let mut key = ScenarioKey::root().with("policy", pn).with("wl", wn);
-                            if let Some(dn) = dn {
-                                key = key.with("dev", dn);
-                            }
-                            if let Some(c) = cap {
-                                key = key.with("cap", flabel(c));
-                            }
-                            if let Some(gn) = gn {
-                                key = key.with("plugin", gn);
-                            }
-                            match b.build() {
-                                Ok(cfg) => points.push((key, cfg)),
-                                Err(BuildError::DeviceLacksHira { .. }) => skipped += 1,
-                                Err(BuildError::DeviceLacksVrr { .. }) => skipped += 1,
-                                Err(e) => return Err(format!("cannot build {key}: {e}")),
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        if points.is_empty() {
+        let mut grid = GridSpec::new(&self.name, &self.axes)?;
+        grid.insts = self.insts;
+        let (sweep, skipped) = grid.build(scale)?;
+        if sweep.is_empty() {
             return Err("sweep grid is empty (every combo skipped or no axes)".to_owned());
         }
-        Ok((
-            Sweep::from_points(&self.name, hira_engine::DEFAULT_BASE_SEED, points),
-            skipped,
-        ))
+        Ok((sweep, skipped.len()))
     }
 }
 
@@ -373,7 +278,12 @@ impl Server {
         let (dir, scratch) = match cache.dir() {
             Some(dir) => (dir.to_path_buf(), None),
             None => {
-                let dir = std::env::temp_dir().join(format!("hira-serve-{}", std::process::id()));
+                // One directory per instance: servers sharing a process
+                // (or a pid) must never delete each other's store.
+                static NEXT: AtomicU64 = AtomicU64::new(0);
+                let n = NEXT.fetch_add(1, Ordering::Relaxed);
+                let dir =
+                    std::env::temp_dir().join(format!("hira-serve-{}-{n}", std::process::id()));
                 (dir.clone(), Some(dir))
             }
         };
@@ -539,7 +449,7 @@ impl Server {
             )
         });
         self.sweeps_accepted += 1;
-        if !spec.plugins.is_empty() {
+        if spec.axes.iter().any(|(kind, _)| *kind == AxisKind::Plugin) {
             self.plugin_sweeps.inc();
         }
         emit(&obj(vec![
@@ -605,7 +515,10 @@ impl Server {
                 &mut self.store,
                 &sweep,
                 &plan,
-                |sc| ws_point_task(sc, scale, channel_stats),
+                |sc| {
+                    let (ms, t, _) = ws_point_task(sc, scale, channel_stats);
+                    (ms, t)
+                },
                 Some(&on_point),
             )
             .map_err(|e| format!("cannot persist results: {e}"))?;
@@ -679,29 +592,16 @@ mod tests {
         (alive, events.into_inner().unwrap())
     }
 
-    fn field<'a>(event: &'a str, key: &str) -> &'a str {
-        let needle = format!("\"{key}\":");
-        let at = event.find(&needle).unwrap_or_else(|| {
-            panic!("event {event} has no `{key}` field");
-        }) + needle.len();
-        let rest = &event[at..];
-        let end = rest
-            .char_indices()
-            .scan(0i32, |depth, (i, c)| match c {
-                '{' | '[' => {
-                    *depth += 1;
-                    Some(i)
-                }
-                '}' | ']' if *depth > 0 => {
-                    *depth -= 1;
-                    Some(i)
-                }
-                ',' | '}' if *depth == 0 => None,
-                _ => Some(i),
-            })
-            .last()
-            .map_or(0, |i| i + 1);
-        &rest[..end]
+    /// Field `key` of an event line, rendered as JSON text.
+    fn field(event: &str, key: &str) -> String {
+        let v = json::parse(event).unwrap_or_else(|e| panic!("bad event {event}: {e}"));
+        match v.get(key) {
+            Some(Value::Str(s)) => format!("\"{s}\""),
+            Some(Value::Num(n)) => n.to_string(),
+            Some(Value::Bool(b)) => b.to_string(),
+            Some(Value::Null) => "null".to_owned(),
+            other => panic!("event {event} has no scalar `{key}` field: {other:?}"),
+        }
     }
 
     #[test]
@@ -719,11 +619,17 @@ mod tests {
         assert_eq!(spec.id, "a");
         assert_eq!(spec.name, "serve");
         assert!(spec.channel_stats);
-        assert_eq!(spec.policies, vec!["noref", "baseline"]);
-        assert_eq!(spec.workloads, vec!["mix0"], "defaulted");
-        assert!(spec.devices.is_empty());
-        assert_eq!(spec.caps, vec![8.0, 64.0]);
-        assert_eq!(spec.plugins, vec!["para:0.05"]);
+        let names = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert_eq!(
+            spec.axes,
+            vec![
+                (AxisKind::Policy, names(&["noref", "baseline"])),
+                (AxisKind::Workload, names(&["mix0"])),
+                (AxisKind::Cap, names(&["8", "64"])),
+                (AxisKind::Plugin, names(&["para:0.05"])),
+            ],
+            "defaulted workloads, no device axis"
+        );
         assert_eq!(spec.insts, Some(2000));
         // Malformed requests carry their reason.
         assert!(parse_op("not json").is_err());
@@ -737,84 +643,85 @@ mod tests {
         );
     }
 
+    /// Builds the sweep of a request with these `fields`.
+    fn build(fields: &str) -> Result<(Sweep<SystemConfig>, usize), String> {
+        match parse_op(&format!(r#"{{"op":"sweep","id":"t",{fields}}}"#)) {
+            Ok(Op::Sweep(spec)) => spec.build(tiny_scale()),
+            other => panic!("not a sweep request: {other:?}"),
+        }
+    }
+
     #[test]
     fn specs_build_registry_resolved_grids() {
-        let spec = SweepSpec {
-            id: "t".into(),
-            name: "serve_test".into(),
-            channel_stats: false,
-            policies: vec!["noref".into(), "baseline".into()],
-            workloads: vec!["stream".into()],
-            devices: Vec::new(),
-            caps: vec![8.0],
-            plugins: Vec::new(),
-            insts: None,
-        };
-        let (sweep, skipped) = spec.build(tiny_scale()).unwrap();
-        assert_eq!(sweep.len(), 2);
-        assert_eq!(skipped, 0);
+        let (sweep, skipped) =
+            build(r#""policies":["noref","baseline"],"workloads":["stream"],"caps":[8]"#).unwrap();
+        assert_eq!((sweep.len(), skipped), (2, 0));
         assert_eq!(
             sweep.points()[0].0.to_string(),
             "policy=noref wl=stream cap=8"
         );
         // Unknown names reject the whole spec with a message.
-        let mut bad = spec.clone();
-        bad.policies = vec!["nope".into()];
-        assert!(bad.build(tiny_scale()).unwrap_err().contains("nope"));
+        assert_eq!(
+            build(r#""policies":["nope"]"#).unwrap_err(),
+            "unknown policy `nope`"
+        );
         // HiRA-on-inert-device combos are skipped, not fatal.
-        let hira_on_inert = SweepSpec {
-            policies: vec!["hira4".into(), "baseline".into()],
-            devices: vec!["ddr4-2133".into()],
-            ..spec.clone()
-        };
-        match hira_on_inert.build(tiny_scale()) {
-            Ok((sweep, skipped)) => {
-                assert_eq!(skipped, 1);
-                assert_eq!(sweep.len(), 1);
-            }
-            // If the registry has no HiRA-inert part, the lookup fails
-            // loudly instead — either way nothing is silently dropped.
-            Err(msg) => assert!(msg.contains("ddr4-2133")),
-        }
+        let inert = r#""policies":["hira4","baseline"],"devices":["samsung-ddr4-2400"]"#;
+        let (sweep, skipped) = build(inert).unwrap();
+        assert_eq!((sweep.len(), skipped), (1, 1));
     }
 
     #[test]
     fn plugin_specs_expand_the_grid_and_reject_unknown_forms() {
-        let spec = SweepSpec {
-            id: "g".into(),
-            name: "serve_plugins".into(),
-            channel_stats: false,
-            policies: vec!["baseline".into()],
-            workloads: vec!["stream".into()],
-            devices: Vec::new(),
-            caps: Vec::new(),
-            plugins: vec!["none".into(), "para:0.05".into(), "oracle:64".into()],
-            insts: None,
-        };
-        let (sweep, skipped) = spec.build(tiny_scale()).unwrap();
-        assert_eq!(sweep.len(), 3, "one point per plugin form");
-        assert_eq!(skipped, 0);
-        assert_eq!(
-            sweep.points()[0].0.to_string(),
-            "policy=baseline wl=stream plugin=none"
-        );
-        assert_eq!(
-            sweep.points()[2].0.to_string(),
-            "policy=baseline wl=stream plugin=oracle:64"
-        );
+        let forms = r#""plugins":["none","para:0.05","oracle:64"]"#;
+        let (sweep, skipped) = build(&format!(r#""workloads":["stream"],{forms}"#)).unwrap();
+        assert_eq!((sweep.len(), skipped), (3, 0), "one point per plugin form");
+        let key = |i: usize| sweep.points()[i].0.to_string();
+        assert_eq!(key(0), "policy=baseline wl=stream plugin=none");
+        assert_eq!(key(2), "policy=baseline wl=stream plugin=oracle:64");
         // An unknown form rejects the whole spec with a message.
-        let mut bad = spec.clone();
-        bad.plugins = vec!["blink:7".into()];
-        assert!(bad.build(tiny_scale()).unwrap_err().contains("blink:7"));
+        assert!(build(r#""plugins":["blink:7"]"#)
+            .unwrap_err()
+            .contains("blink:7"));
         // Directed-refresh defenses on a VRR-less part are skipped cells,
         // not fatal; para survives (it refreshes via plain activations).
-        let vrr_less = SweepSpec {
-            devices: vec!["samsung-ddr4-2400".into()],
-            ..spec.clone()
+        let (sweep, skipped) =
+            build(&format!(r#""devices":["samsung-ddr4-2400"],{forms}"#)).unwrap();
+        assert_eq!(
+            (sweep.len(), skipped),
+            (2, 1),
+            "oracle dropped on the VRR-less part"
+        );
+    }
+
+    /// Cacheless servers in one process each own their scratch store:
+    /// running them side by side, then dropping one, leaves the other's
+    /// store — and its cache hits — intact.
+    #[test]
+    fn concurrent_cacheless_servers_keep_separate_stores() {
+        let mk = || {
+            Server::new(
+                Executor::with_threads(1),
+                tiny_scale(),
+                &CacheSpec::disabled(),
+            )
         };
-        let (sweep, skipped) = vrr_less.build(tiny_scale()).unwrap();
-        assert_eq!(skipped, 1, "oracle dropped on the VRR-less part");
-        assert_eq!(sweep.len(), 2);
+        let (mut a, mut b) = (mk(), mk());
+        assert_ne!(a.scratch, b.scratch);
+        let req = "{\"op\":\"sweep\",\"id\":\"c\",\"name\":\"serve_pair\",\
+                   \"policies\":[\"noref\"],\"workloads\":[\"stream\"]}";
+        std::thread::scope(|s| {
+            for server in [&mut a, &mut b] {
+                s.spawn(move || {
+                    let (_, events) = collect(server, req);
+                    assert_eq!(field(events.last().unwrap(), "event"), "\"done\"");
+                });
+            }
+        });
+        drop(a);
+        let (_, replay) = collect(&mut b, req);
+        assert_eq!(field(&replay[0], "hits"), "1", "{replay:?}");
+        assert_eq!(field(replay.last().unwrap(), "event"), "\"done\"");
     }
 
     #[test]

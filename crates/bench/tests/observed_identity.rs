@@ -3,7 +3,7 @@
 //! byte-identical to an unobserved run — at any thread count, and whether
 //! points are computed or replayed from the cache.
 
-use hira_bench::{run_ws_observed, CacheSpec, ObsSpec, ProbeSpec, Scale, SLOW_POINT_FACTOR};
+use hira_bench::{run, with_mix_axis, CacheSpec, ObsSpec, RunOpts, Scale, Task, SLOW_POINT_FACTOR};
 use hira_engine::{Executor, Sweep};
 use hira_obs::parse_prometheus;
 use hira_sim::config::SystemConfig;
@@ -61,15 +61,16 @@ fn check_trace_line(line: &str) {
 fn fully_observed_runs_are_byte_identical_to_unobserved() {
     let dir = scratch("identity");
     let scale = tiny_scale();
-    let probes = ProbeSpec::default();
-    let reference = run_ws_observed(
-        &Executor::with_threads(1),
-        mk_sweep("obs_identity"),
-        scale,
-        &probes,
-        &CacheSpec::disabled(),
-        &ObsSpec::disabled(),
-    );
+    let ws = |threads: usize, cache: CacheSpec, obs: ObsSpec| {
+        let opts = RunOpts {
+            cache,
+            obs,
+            ..RunOpts::new(scale, Task::Ws)
+        };
+        let sweep = with_mix_axis(mk_sweep("obs_identity"), scale);
+        run(&Executor::with_threads(threads), sweep, &opts)
+    };
+    let reference = ws(1, CacheSpec::disabled(), ObsSpec::disabled());
     let canonical = reference.run.canonical_json();
 
     // Cold at 1 thread, then cold+warm at 8 threads against one store —
@@ -82,18 +83,10 @@ fn fully_observed_runs_are_byte_identical_to_unobserved() {
         ("warm8", 8, CacheSpec::at(&store)),
     ] {
         let out = dir.join(pass);
-        let obs = ObsSpec::disabled()
-            .with_trace(&out)
-            .with_metrics(&out)
-            .with_progress();
-        let observed = run_ws_observed(
-            &Executor::with_threads(threads),
-            mk_sweep("obs_identity"),
-            scale,
-            &probes,
-            &cache,
-            &obs,
-        );
+        let out_flag = |flag: &str| format!("--{flag}={}", out.display());
+        let flags = [out_flag("trace"), out_flag("metrics"), "--progress".into()];
+        let obs = ObsSpec::parse(&flags).unwrap();
+        let observed = ws(threads, cache, obs);
         assert_eq!(
             canonical,
             observed.run.canonical_json(),

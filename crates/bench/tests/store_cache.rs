@@ -2,9 +2,7 @@
 //! real system configurations: caching changes nothing, warm stores run
 //! nothing, and tasks measuring different metric sets never share keys.
 
-use hira_bench::{
-    run_ws_as_configured_cached, run_ws_with_stats_cached, CacheSpec, ProbeSpec, Scale,
-};
+use hira_bench::{run, CacheSpec, RunOpts, Scale, Task, WsTable};
 use hira_engine::{Executor, Sweep};
 use hira_sim::config::SystemConfig;
 use hira_sim::policy;
@@ -36,6 +34,15 @@ fn mk_sweep(name: &str) -> Sweep<SystemConfig> {
     )
 }
 
+/// `mk_sweep(name)` run as configured at `threads` through `cache`.
+fn ws(threads: usize, name: &str, task: Task, cache: &CacheSpec) -> WsTable {
+    let opts = RunOpts {
+        cache: cache.clone(),
+        ..RunOpts::new(tiny_scale(), task)
+    };
+    run(&Executor::with_threads(threads), mk_sweep(name), &opts)
+}
+
 fn shard_lines(dir: &std::path::Path, sweep: &str) -> usize {
     let body = std::fs::read_to_string(dir.join(format!("{sweep}.jsonl")))
         .unwrap_or_else(|e| panic!("shard for `{sweep}` missing: {e}"));
@@ -47,33 +54,13 @@ fn shard_lines(dir: &std::path::Path, sweep: &str) -> usize {
 #[test]
 fn cached_runs_are_bit_identical_across_thread_counts() {
     let dir = scratch("threads");
-    let scale = tiny_scale();
-    let probes = ProbeSpec::default();
-    let reference = run_ws_as_configured_cached(
-        &Executor::with_threads(1),
-        mk_sweep("it_threads"),
-        scale,
-        &probes,
-        &CacheSpec::disabled(),
-    );
+    let reference = ws(1, "it_threads", Task::Ws, &CacheSpec::disabled());
     // Cold pass at 8 threads populates the store.
     let spec = CacheSpec::at(&dir);
-    let cold = run_ws_as_configured_cached(
-        &Executor::with_threads(8),
-        mk_sweep("it_threads"),
-        scale,
-        &probes,
-        &spec,
-    );
+    let cold = ws(8, "it_threads", Task::Ws, &spec);
     assert_eq!(reference.run.canonical_json(), cold.run.canonical_json());
     // Warm pass at 8 threads replays everything, wall times included.
-    let warm = run_ws_as_configured_cached(
-        &Executor::with_threads(8),
-        mk_sweep("it_threads"),
-        scale,
-        &probes,
-        &spec,
-    );
+    let warm = ws(8, "it_threads", Task::Ws, &spec);
     assert_eq!(cold.run.bench_json(), warm.run.bench_json());
     assert_eq!(
         shard_lines(&dir, "it_threads"),
@@ -89,26 +76,12 @@ fn cached_runs_are_bit_identical_across_thread_counts() {
 #[test]
 fn ws_and_ws_with_stats_never_share_cache_keys() {
     let dir = scratch("tasks");
-    let scale = tiny_scale();
-    let probes = ProbeSpec::default();
     let spec = CacheSpec::at(&dir);
-    let plain = run_ws_as_configured_cached(
-        &Executor::with_threads(2),
-        mk_sweep("it_tasks"),
-        scale,
-        &probes,
-        &spec,
-    );
+    let plain = ws(2, "it_tasks", Task::Ws, &spec);
     assert_eq!(shard_lines(&dir, "it_tasks"), 3);
     // Identical configurations, richer task: every point must MISS — a hit
     // would replay a record set without the channel metrics.
-    let stats = run_ws_with_stats_cached(
-        &Executor::with_threads(2),
-        mk_sweep("it_tasks"),
-        scale,
-        &probes,
-        &spec,
-    );
+    let stats = ws(2, "it_tasks", Task::WsStats, &spec);
     assert_eq!(
         shard_lines(&dir, "it_tasks"),
         6,
@@ -120,13 +93,7 @@ fn ws_and_ws_with_stats_never_share_cache_keys() {
         "the plain task stays plain"
     );
     // And the richer records really were cached under their own keys.
-    let warm = run_ws_with_stats_cached(
-        &Executor::with_threads(2),
-        mk_sweep("it_tasks"),
-        scale,
-        &probes,
-        &spec,
-    );
+    let warm = ws(2, "it_tasks", Task::WsStats, &spec);
     assert_eq!(stats.run.bench_json(), warm.run.bench_json());
     assert_eq!(shard_lines(&dir, "it_tasks"), 6);
     let _ = std::fs::remove_dir_all(&dir);

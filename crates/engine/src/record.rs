@@ -457,7 +457,8 @@ mod tests {
 
     #[test]
     fn bench_json_roundtrips_to_disk() {
-        let dir = std::env::temp_dir().join("hira-engine-test-emit");
+        let dir =
+            std::env::temp_dir().join(format!("hira-engine-test-emit-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = sample().write_bench_json(&dir).unwrap();
         assert!(path.ends_with("BENCH_demo.json"));

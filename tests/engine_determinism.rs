@@ -5,7 +5,7 @@
 
 use hira::engine::{derive_seed, metric, Executor, ScenarioKey, Sweep};
 use hira::prelude::{policy, SystemConfig};
-use hira_bench::{run_ws, Scale};
+use hira_bench::{run, with_mix_axis, RunOpts, Scale, Task};
 
 fn tiny_scale() -> Scale {
     Scale {
@@ -30,9 +30,14 @@ fn ws_sweep() -> Sweep<SystemConfig> {
 #[test]
 fn simulator_sweep_is_byte_identical_across_1_2_and_8_threads() {
     let canonical = |threads: usize| {
-        run_ws(&Executor::with_threads(threads), ws_sweep(), tiny_scale())
-            .run
-            .canonical_json()
+        let (scale, ex) = (tiny_scale(), Executor::with_threads(threads));
+        run(
+            &ex,
+            with_mix_axis(ws_sweep(), scale),
+            &RunOpts::new(scale, Task::Ws),
+        )
+        .run
+        .canonical_json()
     };
     let single = canonical(1);
     assert!(!single.is_empty());
@@ -64,9 +69,14 @@ fn policy_sweep_is_byte_identical_across_thread_counts() {
         rows: 16,
     };
     let canonical = |threads: usize| {
-        run_ws(&Executor::with_threads(threads), sweep(), scale)
-            .run
-            .canonical_json()
+        let ex = Executor::with_threads(threads);
+        run(
+            &ex,
+            with_mix_axis(sweep(), scale),
+            &RunOpts::new(scale, Task::Ws),
+        )
+        .run
+        .canonical_json()
     };
     let single = canonical(1);
     assert_eq!(single, canonical(4), "4 threads diverged from 1");

@@ -10,7 +10,7 @@
 use hira::engine::{Executor, Sweep};
 use hira::prelude::*;
 use hira::workload::workload;
-use hira_bench::{run_ws, Scale};
+use hira_bench::{run, with_mix_axis, RunOpts, Scale, Task};
 
 fn build(
     device: &DeviceHandle,
@@ -182,7 +182,7 @@ fn probe_attachment_leaves_results_bit_identical() {
     // Probes are read-only observers: attaching the whole built-in kit at
     // once must leave the SimResult bit-identical to the bare run, under
     // both kernels and across policy families.
-    let dir = std::env::temp_dir().join("hira-probe-identity");
+    let dir = std::env::temp_dir().join(format!("hira-probe-identity-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     for policy in [policy::baseline(), policy::refpb(), policy::hira(4)] {
         for kernel in [KernelMode::Dense, KernelMode::Event] {
@@ -289,9 +289,14 @@ fn engine_thread_count_determinism_holds_in_event_mode() {
         )
     };
     let canonical = |threads| {
-        run_ws(&Executor::with_threads(threads), sweep(), scale)
-            .run
-            .canonical_json()
+        let ex = Executor::with_threads(threads);
+        run(
+            &ex,
+            with_mix_axis(sweep(), scale),
+            &RunOpts::new(scale, Task::Ws),
+        )
+        .run
+        .canonical_json()
     };
     let single = canonical(1);
     assert!(!single.is_empty());

@@ -7,7 +7,13 @@
 
 use hira::engine::{Executor, Sweep};
 use hira::prelude::*;
-use hira_bench::{run_ws, Scale};
+use hira_bench::{run, with_mix_axis, RunOpts, Scale, Task, WsTable};
+
+/// The plugin sweep under `kernel`, crossed with the mix suite.
+fn ws(ex: &Executor, kernel: KernelMode) -> WsTable {
+    let sweep = with_mix_axis(plugin_sweep(kernel), scale());
+    run(ex, sweep, &RunOpts::new(scale(), Task::Ws))
+}
 
 fn scale() -> Scale {
     Scale {
@@ -52,13 +58,9 @@ fn plugin_axis_is_thread_count_deterministic() {
     // 1 vs 8 engine threads over the full plugin roster × two policy
     // families: canonical result sets must be byte-identical.
     let canonical = |threads| {
-        run_ws(
-            &Executor::with_threads(threads),
-            plugin_sweep(KernelMode::Event),
-            scale(),
-        )
-        .run
-        .canonical_json()
+        ws(&Executor::with_threads(threads), KernelMode::Event)
+            .run
+            .canonical_json()
     };
     let single = canonical(1);
     assert!(!single.is_empty());
@@ -72,8 +74,8 @@ fn plugin_axis_is_kernel_invariant_through_the_engine() {
     // single-system checks in kernel_equivalence.rs by going through the
     // engine's seeding and the bench runner's mix expansion.
     let ex = Executor::with_threads(4);
-    let event = run_ws(&ex, plugin_sweep(KernelMode::Event), scale());
-    let dense = run_ws(&ex, plugin_sweep(KernelMode::Dense), scale());
+    let event = ws(&ex, KernelMode::Event);
+    let dense = ws(&ex, KernelMode::Dense);
     for (ev, de) in event.run.records.iter().zip(&dense.run.records) {
         assert_eq!(ev.key, de.key, "record order diverged across kernels");
         assert_eq!(

@@ -14,7 +14,8 @@ use hira::sim::probe::CmdTraceProbe;
 use std::path::PathBuf;
 
 fn out_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("hira-probe-outputs-{name}"));
+    let dir =
+        std::env::temp_dir().join(format!("hira-probe-outputs-{name}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }
