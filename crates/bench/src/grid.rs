@@ -15,6 +15,7 @@ use hira_engine::{Executor, RunSet, ScenarioKey, Sweep, DEFAULT_BASE_SEED};
 use hira_sim::builder::{BuildError, SystemBuilder};
 use hira_sim::config::{KernelMode, SystemConfig};
 use hira_sim::device::{DeviceHandle, DeviceRegistry};
+use hira_sim::handle::{Handle, Registry};
 use hira_sim::plugin::{PluginHandle, PluginRegistry};
 use hira_sim::policy::{PolicyHandle, PolicyRegistry};
 use hira_sim::probe::ProbeRegistry;
@@ -369,46 +370,29 @@ impl Preset {
         let mut sections: Vec<(&str, Vec<String>)> = Vec::new();
         for (kind, _) in self.axes {
             let Some(flag) = kind.flag() else { continue };
-            let (mut entries, forms): (Vec<String>, Vec<String>) = match kind {
-                AxisKind::Policy => (
-                    PolicyRegistry::standard()
-                        .handles()
-                        .map(|h| pair((h.name(), h.summary())))
-                        .collect(),
-                    vec!["hira<N> any slack point: tRefSlack = N*tRC".into()],
-                ),
-                AxisKind::Device => (
-                    DeviceRegistry::standard()
-                        .handles()
-                        .map(|h| pair((h.name(), h.summary())))
-                        .collect(),
-                    vec!["ddr4-2400@<Gb> DDR4-2400 part pinned at <Gb> (tRFC fixed)".into()],
-                ),
-                AxisKind::Workload => (
-                    WorkloadRegistry::standard()
-                        .handles()
-                        .map(|h| format!("{} [{}] {}", h.name(), h.family(), h.summary()))
-                        .collect(),
-                    [
-                        "mix<N> multiprogrammed roster mix N of the standard suite",
-                        "zipf<N> zipfian generator with theta = N/100",
-                        "rw<N> uniform-random generator with N% stores (N <= 100)",
-                        "open<N> open-loop generator at N accesses per kinst (N >= 1)",
-                        "trace:<path> replay of the .trace file at <path>",
-                    ]
-                    .map(String::from)
-                    .to_vec(),
-                ),
+            let (mut entries, forms) = match kind {
+                AxisKind::Policy => {
+                    let r = PolicyRegistry::standard();
+                    (roster(&r), r.forms())
+                }
+                AxisKind::Device => {
+                    let r = DeviceRegistry::standard();
+                    (roster(&r), r.forms())
+                }
+                AxisKind::Workload => {
+                    let r = WorkloadRegistry::standard();
+                    let entry = |h: &WorkloadHandle| {
+                        format!("{} [{}] {}", h.name(), h.family(), h.summary())
+                    };
+                    (r.handles().map(entry).collect(), r.forms())
+                }
                 _ => (
                     vec!["none no plugin attached (the undefended baseline)".into()],
-                    PluginRegistry::standard()
-                        .forms()
-                        .into_iter()
-                        .map(pair)
-                        .collect(),
+                    PluginRegistry::standard().forms(),
                 ),
             };
-            entries.extend(forms.iter().map(|f| f.replacen(' ', " (dynamic) ", 1)));
+            let dynamic = |(form, what)| format!("{form} (dynamic) {what}");
+            entries.extend(forms.into_iter().map(dynamic));
             sections.push((flag, entries));
         }
         if self.flags.contains("--probe=") {
@@ -445,6 +429,12 @@ impl Preset {
             }
         }
     }
+}
+
+/// The `<name> <summary>` `--list` entries of a registry, in order.
+fn roster<P: ?Sized>(registry: &Registry<P>) -> Vec<String> {
+    let entry = |h: &Handle<P>| format!("{} {}", h.name(), h.summary());
+    registry.handles().map(entry).collect()
 }
 
 /// Prints `msg` as a usage error of binary `name` and exits with status 2.

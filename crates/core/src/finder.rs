@@ -370,16 +370,6 @@ impl HiraMc {
         Some(DeadlineWork::Single { bank, row: first })
     }
 
-    /// Whether any queued request's deadline falls within the next `tRC`
-    /// (lets the host prioritize the watchdog without popping work).
-    pub fn deadline_pending(&self, now: f64) -> bool {
-        if !self.overflow.is_empty() {
-            return true;
-        }
-        let horizon = now + self.params.timing.t_rc;
-        self.table.iter().any(|e| e.deadline <= horizon)
-    }
-
     /// Opportunistic service (Case 2 extension): when `bank` is idle and has
     /// no queued demand, serve its earliest queued refresh *before* the
     /// deadline. This trades a (no-longer-possible) refresh-access pairing
@@ -442,16 +432,6 @@ impl HiraMc {
             .as_ref()
             .map_or(f64::INFINITY, PeriodicRc::next_due);
         gen.min(self.window_end)
-    }
-
-    /// Earliest queued deadline (scheduling hint).
-    pub fn earliest_deadline(&self) -> Option<f64> {
-        let table = self.table.earliest().map(|e| e.deadline);
-        let overflow = self.overflow.front().map(|e| e.deadline);
-        match (table, overflow) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
     }
 
     fn consume(&mut self, now: f64, entry: &RefreshEntry) {

@@ -91,34 +91,25 @@ impl Executor {
         R: Send,
         F: Fn(Scenario<'_, P>) -> (R, Vec<Metric>) + Sync,
     {
-        self.run_instrumented(sweep, |sc| {
-            let (out, metrics) = task(sc);
-            (out, metrics, None)
-        })
+        self.run_observed(
+            sweep,
+            |sc| {
+                let (out, metrics) = task(sc);
+                (out, metrics, None)
+            },
+            None,
+        )
     }
 
     /// [`Executor::run_with`] for tasks that additionally report per-point
     /// [`PointTelemetry`] — kernel events processed and peak queue depth —
     /// which lands on every record of that point (and in the `BENCH_*.json`
-    /// payload, never in the canonical serialization).
-    ///
-    /// # Panics
-    ///
-    /// Propagates task panics after all workers stop.
-    pub fn run_instrumented<P, R, F>(&self, sweep: &Sweep<P>, task: F) -> (Vec<R>, RunSet)
-    where
-        P: Sync,
-        R: Send,
-        F: Fn(Scenario<'_, P>) -> (R, Vec<Metric>, Option<PointTelemetry>) + Sync,
-    {
-        self.run_observed(sweep, task, None)
-    }
-
-    /// [`Executor::run_instrumented`] with an optional per-point
-    /// [`RunObserver`]: as each point completes, its worker thread reports
-    /// the index, key, queue wait (time between run start and pickup) and
-    /// task wall time. The observer sees timing only — results flow
-    /// exactly as without it, so observed runs stay bit-identical.
+    /// payload, never in the canonical serialization), with an optional
+    /// per-point [`RunObserver`]: as each point completes, its worker
+    /// thread reports the index, key, queue wait (time between run start
+    /// and pickup) and task wall time. The observer sees timing only —
+    /// results flow exactly as without it, so observed runs stay
+    /// bit-identical.
     ///
     /// # Panics
     ///
@@ -278,13 +269,14 @@ mod tests {
     #[test]
     fn instrumented_tasks_stamp_telemetry_on_every_record() {
         let sweep = demo_sweep(4);
-        let (_, run) = Executor::with_threads(2).run_instrumented(&sweep, |sc| {
+        let task = |sc: Scenario<'_, u32>| {
             let t = PointTelemetry {
                 events: *sc.params as u64 * 10,
                 peak_queue: 3,
             };
             ((), vec![metric("a", 1.0), metric("b", 2.0)], Some(t))
-        });
+        };
+        let (_, run) = Executor::with_threads(2).run_observed(&sweep, task, None);
         assert_eq!(run.records.len(), 8);
         assert!(run
             .records

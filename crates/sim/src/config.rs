@@ -157,12 +157,6 @@ impl SystemConfig {
         self.device.profile().clock()
     }
 
-    /// Replaces the refresh policy.
-    pub fn with_policy(mut self, refresh: PolicyHandle) -> Self {
-        self.refresh = refresh;
-        self
-    }
-
     /// Replaces the demand workload.
     pub fn with_workload(mut self, workload: WorkloadHandle) -> Self {
         self.workload = workload;
@@ -235,11 +229,12 @@ impl SystemConfig {
     ///   result legitimately answers a dense query and vice versa,
     /// * `probe` — probes are read-only observers.
     ///
-    /// Policy / workload / device handles contribute their registry
-    /// **names**, which is exactly the identity the rest of the system
-    /// uses (`PolicyHandle` equality is name equality; parametric handles
-    /// like `hira4`, `baseline+para(p=…)` or `ddr4-2400@32` encode their
-    /// parameters in the name). If that naming contract ever weakens,
+    /// Policy / plugin / workload / device handles contribute their
+    /// registry **names**, which is exactly the identity the rest of the
+    /// system uses: [`crate::handle::Handle`] equality is name equality
+    /// (and `WorkloadHandle` follows the same contract), and parametric
+    /// handles like `hira4`, `baseline+para(p=…)` or `ddr4-2400@32` encode
+    /// their parameters in the name. If that naming contract ever weakens,
     /// bump `hira_store::CACHE_SCHEMA_VERSION`.
     pub fn cache_descriptor(&self) -> String {
         let cap = match self.cycle_cap {

@@ -39,6 +39,7 @@ pub use presets::{
 pub use registry::{device, DeviceRegistry};
 
 use crate::clock::{MemClock, MemCycle};
+use crate::handle::Handle;
 use hira_dram::timing::TimingParams;
 use hira_dram::vendor::Manufacturer;
 use std::fmt;
@@ -145,80 +146,33 @@ pub trait DeviceModel: fmt::Debug + Send + Sync {
 
 /// A cloneable, comparable *selection* of a device: the registry key plus
 /// the shared model. This is what [`crate::config::SystemConfig`] stores
-/// and sweeps pass around — equality and hashing go by name, mirroring
-/// [`crate::policy::PolicyHandle`] / [`hira_workload::WorkloadHandle`].
-/// (Devices are immutable descriptions, so the handle shares one model
-/// rather than wrapping a per-instance factory.)
-#[derive(Clone)]
-pub struct DeviceHandle {
-    name: Arc<str>,
-    summary: Arc<str>,
-    model: Arc<dyn DeviceModel>,
-}
+/// and sweeps pass around; identity is the name (see [`crate::handle`]).
+/// Devices are immutable descriptions, so the handle shares one model
+/// rather than wrapping a per-instance factory.
+pub type DeviceHandle = Handle<dyn DeviceModel>;
 
 impl DeviceHandle {
     /// Wraps a model under a registry name. Parameterized devices must
     /// encode their parameters in the name (e.g. `ddr4-2400@32`): the
     /// name is the identity.
     pub fn new(name: impl Into<String>, model: impl DeviceModel + 'static) -> Self {
-        DeviceHandle {
-            name: Arc::from(name.into()),
-            summary: Arc::from(""),
-            model: Arc::new(model),
-        }
-    }
-
-    /// Attaches a one-line description (registry `--list` output). Not
-    /// part of the identity: equality stays by name.
-    pub fn with_summary(mut self, summary: impl Into<String>) -> Self {
-        self.summary = Arc::from(summary.into());
-        self
-    }
-
-    /// The device's registry name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// One-line description (empty when the registrant set none).
-    pub fn summary(&self) -> &str {
-        &self.summary
+        Handle::from_arc(name, Arc::new(model))
     }
 
     /// The device's static self-description.
     pub fn profile(&self) -> &DeviceProfile {
-        self.model.profile()
+        self.payload().profile()
     }
 
     /// The ns timing table at `chip_gbit` (see [`DeviceModel::timing`]).
     pub fn timing(&self, chip_gbit: f64) -> TimingParams {
-        self.model.timing(chip_gbit)
+        self.payload().timing(chip_gbit)
     }
 
     /// The controller's integer command table (see
     /// [`DeviceModel::command_table`]).
     pub fn command_table(&self, chip_gbit: f64, t1_ns: f64, t2_ns: f64) -> CommandTable {
-        self.model.command_table(chip_gbit, t1_ns, t2_ns)
-    }
-}
-
-impl fmt::Debug for DeviceHandle {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_tuple("DeviceHandle").field(&self.name).finish()
-    }
-}
-
-impl PartialEq for DeviceHandle {
-    fn eq(&self, other: &Self) -> bool {
-        self.name == other.name
-    }
-}
-
-impl Eq for DeviceHandle {}
-
-impl std::hash::Hash for DeviceHandle {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.name.hash(state);
+        self.payload().command_table(chip_gbit, t1_ns, t2_ns)
     }
 }
 

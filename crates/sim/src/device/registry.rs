@@ -1,26 +1,20 @@
 //! The string-keyed device registry: the bridge between CLI/sweep axes
 //! (`--device=lpddr4-3200`) and [`DeviceHandle`]s.
 
-use super::{ddr4_2400, ddr4_2400_at, ddr4_3200, lpddr4_3200, samsung_ddr4_2400, DeviceHandle};
+use super::{
+    ddr4_2400, ddr4_2400_at, ddr4_3200, lpddr4_3200, samsung_ddr4_2400, DeviceHandle, DeviceModel,
+};
+use crate::handle::Registry;
 
-/// An ordered, string-keyed collection of devices. Order is preserved so
-/// sweeps and the `device_matrix` grid present devices in registration
-/// order, not alphabetically.
-#[derive(Debug, Clone, Default)]
-pub struct DeviceRegistry {
-    entries: Vec<DeviceHandle>,
-}
+/// The ordered device registry. Order is preserved so sweeps and the
+/// `device_matrix` grid present devices in registration order.
+pub type DeviceRegistry = Registry<dyn DeviceModel>;
 
 impl DeviceRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        DeviceRegistry::default()
-    }
-
     /// The registry every binary starts from: the Table 3 part, the two
     /// 3200 MT/s standards, and the HiRA-inert comparison part.
     pub fn standard() -> Self {
-        let mut r = DeviceRegistry::new();
+        let mut r = DeviceRegistry::default();
         r.register(ddr4_2400());
         r.register(ddr4_3200());
         r.register(lpddr4_3200());
@@ -28,48 +22,27 @@ impl DeviceRegistry {
         r
     }
 
-    /// Registers (or replaces, by name) a device.
-    pub fn register(&mut self, handle: DeviceHandle) {
-        if let Some(existing) = self.entries.iter_mut().find(|h| h.name() == handle.name()) {
-            *existing = handle;
-        } else {
-            self.entries.push(handle);
-        }
-    }
-
     /// Resolves a name. Exact registered names win; the parametric
     /// `ddr4-2400@<Gb>` form resolves dynamically for any canonical
     /// positive integer capacity (like `hira<N>` / `mix<N>` on the other
     /// axes).
     pub fn lookup(&self, name: &str) -> Option<DeviceHandle> {
-        if let Some(h) = self.entries.iter().find(|h| h.name() == name) {
-            return Some(h.clone());
-        }
-        let gbit: u32 = name.strip_prefix("ddr4-2400@")?.parse().ok()?;
-        // Canonical spellings only (`@32`, not `@032`): the handle's name
-        // must render back identical to the requested key, or name-keyed
-        // caches would silently disagree with the axis label.
-        (gbit > 0 && name == format!("ddr4-2400@{gbit}")).then(|| ddr4_2400_at(gbit))
+        self.get(name).or_else(|| {
+            let gbit: u32 = name.strip_prefix("ddr4-2400@")?.parse().ok()?;
+            // Canonical spellings only (`@32`, not `@032`): the handle's
+            // name must render back identical to the requested key, or
+            // name-keyed caches would silently disagree with the axis label.
+            (gbit > 0 && name == format!("ddr4-2400@{gbit}")).then(|| ddr4_2400_at(gbit))
+        })
     }
 
-    /// Registered names, in registration order.
-    pub fn names(&self) -> Vec<&str> {
-        self.entries.iter().map(DeviceHandle::name).collect()
-    }
-
-    /// Registered handles, in registration order.
-    pub fn handles(&self) -> impl Iterator<Item = &DeviceHandle> {
-        self.entries.iter()
-    }
-
-    /// Number of registered devices.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the registry is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+    /// The dynamic `--device=` forms [`lookup`](Self::lookup) accepts
+    /// beyond the registered names, with one-line descriptions.
+    pub fn forms(&self) -> Vec<(&'static str, &'static str)> {
+        vec![(
+            "ddr4-2400@<Gb>",
+            "DDR4-2400 part pinned at <Gb> (tRFC fixed)",
+        )]
     }
 }
 
@@ -120,7 +93,7 @@ mod tests {
 
     #[test]
     fn register_replaces_by_name() {
-        let mut r = DeviceRegistry::new();
+        let mut r = DeviceRegistry::default();
         r.register(super::ddr4_2400());
         r.register(super::ddr4_2400());
         assert_eq!(r.len(), 1);

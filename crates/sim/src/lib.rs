@@ -66,6 +66,7 @@ pub mod config;
 pub mod controller;
 pub mod core_model;
 pub mod device;
+pub mod handle;
 pub mod llc;
 pub mod mapping;
 pub mod metrics;

@@ -110,6 +110,7 @@ pub use para::{para, ParaPlugin};
 pub use registry::PluginRegistry;
 
 use crate::config::SystemConfig;
+use crate::handle::Handle;
 use crate::policy::RefreshAction;
 use hira_dram::addr::{BankId, RowId};
 use std::collections::HashMap;
@@ -346,14 +347,9 @@ pub type PluginFactory = dyn Fn(&PluginEnv) -> Box<dyn ControllerPlugin> + Send 
 
 /// A cloneable, comparable *selection* of a controller plugin: the
 /// registry key plus the factory that builds per-rank instances. This is
-/// what [`SystemConfig::plugins`] stores — equality and hashing go by
-/// name, mirroring [`crate::policy::PolicyHandle`].
-#[derive(Clone)]
-pub struct PluginHandle {
-    name: Arc<str>,
-    summary: Arc<str>,
-    factory: Arc<PluginFactory>,
-}
+/// what [`SystemConfig::plugins`] stores; identity is the name (see
+/// [`crate::handle`]).
+pub type PluginHandle = Handle<PluginFactory>;
 
 impl PluginHandle {
     /// Wraps a factory under a registry name. Parameterized plugins must
@@ -363,53 +359,12 @@ impl PluginHandle {
         name: impl Into<String>,
         factory: impl Fn(&PluginEnv) -> Box<dyn ControllerPlugin> + Send + Sync + 'static,
     ) -> Self {
-        PluginHandle {
-            name: Arc::from(name.into()),
-            summary: Arc::from(""),
-            factory: Arc::new(factory),
-        }
-    }
-
-    /// Attaches a one-line description (registry `--list` output). Not
-    /// part of the identity: equality stays by name.
-    pub fn with_summary(mut self, summary: impl Into<String>) -> Self {
-        self.summary = Arc::from(summary.into());
-        self
-    }
-
-    /// The plugin's registry name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// One-line description (empty when the registrant set none).
-    pub fn summary(&self) -> &str {
-        &self.summary
+        Handle::from_arc(name, Arc::new(factory))
     }
 
     /// Builds one per-rank instance.
     pub fn build(&self, env: &PluginEnv) -> Box<dyn ControllerPlugin> {
-        (self.factory)(env)
-    }
-}
-
-impl fmt::Debug for PluginHandle {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_tuple("PluginHandle").field(&self.name).finish()
-    }
-}
-
-impl PartialEq for PluginHandle {
-    fn eq(&self, other: &Self) -> bool {
-        self.name == other.name
-    }
-}
-
-impl Eq for PluginHandle {}
-
-impl std::hash::Hash for PluginHandle {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.name.hash(state);
+        (self.payload())(env)
     }
 }
 

@@ -1,28 +1,20 @@
 //! The string-keyed plugin registry behind `--plugin=` axes: the three
 //! shipped defenses as dynamic parameterized forms, plus user-registered
-//! handles (checked first, in registration order).
+//! handles (checked first, by exact name).
 
-use super::{graphene, oracle, para, PluginHandle};
+use super::{graphene, oracle, para, PluginFactory, PluginHandle};
+use crate::handle::Registry;
 
 /// The ordered plugin registry. Like [`crate::probe::ProbeRegistry`], the
 /// built-in roster is a grammar of dynamic forms rather than a fixed name
-/// list; custom handles registered with [`register`](Self::register)
-/// shadow the grammar and resolve first.
-#[derive(Default)]
-pub struct PluginRegistry {
-    custom: Vec<PluginHandle>,
-}
+/// list; custom handles registered with [`Registry::register`] shadow the
+/// grammar and resolve first.
+pub type PluginRegistry = Registry<PluginFactory>;
 
 impl PluginRegistry {
     /// The standard registry: the three shipped defense forms.
     pub fn standard() -> Self {
         PluginRegistry::default()
-    }
-
-    /// Registers a custom handle. Later registrations shadow earlier ones
-    /// of the same name; all shadow the built-in forms.
-    pub fn register(&mut self, handle: PluginHandle) {
-        self.custom.push(handle);
     }
 
     /// The accepted `--plugin=` forms with one-line descriptions.
@@ -49,27 +41,26 @@ impl PluginRegistry {
     /// parameter rendering is normalized so `oracle:01024` and
     /// `oracle:1024` key one cache entry).
     pub fn lookup(&self, spec: &str) -> Option<PluginHandle> {
-        if let Some(h) = self.custom.iter().rev().find(|h| h.name() == spec) {
-            return Some(h.clone());
-        }
-        let (kind, rest) = spec.split_once(':')?;
-        match kind {
-            "oracle" => {
-                let t_rh: u64 = rest.parse().ok().filter(|&t| t > 0)?;
-                Some(oracle(t_rh))
+        self.get(spec).or_else(|| {
+            let (kind, rest) = spec.split_once(':')?;
+            match kind {
+                "oracle" => {
+                    let t_rh: u64 = rest.parse().ok().filter(|&t| t > 0)?;
+                    Some(oracle(t_rh))
+                }
+                "para" => {
+                    let p: f64 = rest.parse().ok().filter(|p| (0.0..=1.0).contains(p))?;
+                    Some(para(p))
+                }
+                "graphene" => {
+                    let (t_rh, k) = rest.split_once(':')?;
+                    let t_rh: u64 = t_rh.parse().ok().filter(|&t| t > 0)?;
+                    let k: usize = k.parse().ok().filter(|&k| k > 0)?;
+                    Some(graphene(t_rh, k))
+                }
+                _ => None,
             }
-            "para" => {
-                let p: f64 = rest.parse().ok().filter(|p| (0.0..=1.0).contains(p))?;
-                Some(para(p))
-            }
-            "graphene" => {
-                let (t_rh, k) = rest.split_once(':')?;
-                let t_rh: u64 = t_rh.parse().ok().filter(|&t| t > 0)?;
-                let k: usize = k.parse().ok().filter(|&k| k > 0)?;
-                Some(graphene(t_rh, k))
-            }
-            _ => None,
-        }
+        })
     }
 
     /// One representative instance of every shipped defense — the roster

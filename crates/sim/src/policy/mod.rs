@@ -90,6 +90,7 @@ pub use registry::{policy, PolicyRegistry};
 
 use crate::clock::MemCycle;
 use crate::config::SystemConfig;
+use crate::handle::Handle;
 use hira_core::finder::McStats;
 use hira_dram::addr::{BankId, RowId};
 use hira_dram::timing::TimingParams;
@@ -437,15 +438,9 @@ pub type PolicyFactory = dyn Fn(&PolicyEnv) -> Box<dyn RefreshPolicy> + Send + S
 
 /// A cloneable, comparable *selection* of a refresh policy: the registry
 /// key plus the factory that builds per-rank instances. This is what
-/// [`crate::config::SystemConfig`] stores and what sweeps pass around —
-/// equality and hashing go by name, so two configs selecting the same
-/// registered policy compare (and bucket) equal.
-#[derive(Clone)]
-pub struct PolicyHandle {
-    name: Arc<str>,
-    summary: Arc<str>,
-    factory: Arc<PolicyFactory>,
-}
+/// [`crate::config::SystemConfig`] stores and what sweeps pass around;
+/// identity is the name (see [`crate::handle`]).
+pub type PolicyHandle = Handle<PolicyFactory>;
 
 impl PolicyHandle {
     /// Wraps a factory under a registry name. Parameterized policies must
@@ -455,33 +450,12 @@ impl PolicyHandle {
         name: impl Into<String>,
         factory: impl Fn(&PolicyEnv) -> Box<dyn RefreshPolicy> + Send + Sync + 'static,
     ) -> Self {
-        PolicyHandle {
-            name: Arc::from(name.into()),
-            summary: Arc::from(""),
-            factory: Arc::new(factory),
-        }
-    }
-
-    /// Attaches a one-line description (registry `--list` output). Not
-    /// part of the identity: equality stays by name.
-    pub fn with_summary(mut self, summary: impl Into<String>) -> Self {
-        self.summary = Arc::from(summary.into());
-        self
-    }
-
-    /// The policy's registry name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// One-line description (empty when the registrant set none).
-    pub fn summary(&self) -> &str {
-        &self.summary
+        Handle::from_arc(name, Arc::new(factory))
     }
 
     /// Builds one per-rank instance.
     pub fn build(&self, env: &PolicyEnv) -> Box<dyn RefreshPolicy> {
-        (self.factory)(env)
+        (self.payload())(env)
     }
 
     /// Layers immediately-served PARA preventive refreshes (§9's plain
@@ -489,8 +463,8 @@ impl PolicyHandle {
     /// triggers with probability `pth`, and victims are refreshed as
     /// standalone singles on the very next tick.
     pub fn with_para_immediate(self, pth: f64) -> PolicyHandle {
-        let name = preventive::immediate_name(&self.name, pth);
-        let summary = format!("{} + immediate PARA (p_th = {pth:.4})", self.name);
+        let name = preventive::immediate_name(self.name(), pth);
+        let summary = format!("{} + immediate PARA (p_th = {pth:.4})", self.name());
         PolicyHandle::new(name, move |env| {
             Box::new(ImmediatePara::new(self.build(env), pth, env))
         })
@@ -503,10 +477,10 @@ impl PolicyHandle {
     /// A policy that already hosts a HiRA-MC absorbs the layer natively
     /// ([`RefreshPolicy::attach_para`]); anything else is wrapped.
     pub fn with_para_hira(self, pth: f64, slack_acts: u32) -> PolicyHandle {
-        let name = preventive::queued_name(&self.name, pth, slack_acts);
+        let name = preventive::queued_name(self.name(), pth, slack_acts);
         let summary = format!(
             "{} + HiRA-{slack_acts}-queued PARA (p_th = {pth:.4})",
-            self.name
+            self.name()
         );
         PolicyHandle::new(name, move |env| {
             let mut inner = self.build(env);
@@ -517,26 +491,6 @@ impl PolicyHandle {
             }
         })
         .with_summary(summary)
-    }
-}
-
-impl fmt::Debug for PolicyHandle {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_tuple("PolicyHandle").field(&self.name).finish()
-    }
-}
-
-impl PartialEq for PolicyHandle {
-    fn eq(&self, other: &Self) -> bool {
-        self.name == other.name
-    }
-}
-
-impl Eq for PolicyHandle {}
-
-impl std::hash::Hash for PolicyHandle {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.name.hash(state);
     }
 }
 

@@ -1,26 +1,18 @@
 //! The string-keyed policy registry: the bridge between CLI/sweep axes
 //! (`--policy=hira4`) and [`PolicyHandle`]s.
 
-use super::{baseline, hira, noref, raidr, refpb, PolicyHandle};
+use super::{baseline, hira, noref, raidr, refpb, PolicyFactory, PolicyHandle};
+use crate::handle::Registry;
 
-/// An ordered, string-keyed collection of refresh policies. Order is
-/// preserved so sweeps and the `policy_matrix` figure present policies in
-/// registration order, not alphabetically.
-#[derive(Debug, Clone, Default)]
-pub struct PolicyRegistry {
-    entries: Vec<PolicyHandle>,
-}
+/// The ordered policy registry. Order is preserved so sweeps and the
+/// `policy_matrix` figure present policies in registration order.
+pub type PolicyRegistry = Registry<PolicyFactory>;
 
 impl PolicyRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        PolicyRegistry::default()
-    }
-
     /// The registry every binary starts from: the paper's three
     /// arrangements plus the related-work policies the open API enables.
     pub fn standard() -> Self {
-        let mut r = PolicyRegistry::new();
+        let mut r = PolicyRegistry::default();
         r.register(noref());
         r.register(baseline());
         r.register(refpb());
@@ -31,44 +23,24 @@ impl PolicyRegistry {
         r
     }
 
-    /// Registers (or replaces, by name) a policy.
-    pub fn register(&mut self, handle: PolicyHandle) {
-        if let Some(existing) = self.entries.iter_mut().find(|h| h.name() == handle.name()) {
-            *existing = handle;
-        } else {
-            self.entries.push(handle);
-        }
-    }
-
     /// Resolves a name. Exact registered names win; `hira<N>` is resolved
-    /// for any `N` even when that slack point is not pre-registered.
+    /// for any canonical `N` even when that slack point is not
+    /// pre-registered. Non-canonical spellings (`hira04`, `hira+4`) do not
+    /// resolve: the handle's name must render back identical to the
+    /// requested key, or name-keyed caches would disagree with the axis
+    /// label.
     pub fn lookup(&self, name: &str) -> Option<PolicyHandle> {
-        if let Some(h) = self.entries.iter().find(|h| h.name() == name) {
-            return Some(h.clone());
-        }
-        name.strip_prefix("hira")
-            .and_then(|n| n.parse::<u32>().ok())
-            .map(hira)
+        self.get(name).or_else(|| {
+            let suffix = name.strip_prefix("hira")?;
+            let n: u32 = suffix.parse().ok()?;
+            (n.to_string() == suffix).then(|| hira(n))
+        })
     }
 
-    /// Registered names, in registration order.
-    pub fn names(&self) -> Vec<&str> {
-        self.entries.iter().map(PolicyHandle::name).collect()
-    }
-
-    /// Registered handles, in registration order.
-    pub fn handles(&self) -> impl Iterator<Item = &PolicyHandle> {
-        self.entries.iter()
-    }
-
-    /// Number of registered policies.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the registry is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+    /// The dynamic `--policy=` forms [`lookup`](Self::lookup) accepts
+    /// beyond the registered names, with one-line descriptions.
+    pub fn forms(&self) -> Vec<(&'static str, &'static str)> {
+        vec![("hira<N>", "any slack point: tRefSlack = N*tRC")]
     }
 }
 
@@ -114,8 +86,17 @@ mod tests {
     }
 
     #[test]
+    fn hira_n_rejects_non_canonical_spellings() {
+        let r = PolicyRegistry::standard();
+        for bad in ["hira04", "hira+4", "hira"] {
+            assert!(r.lookup(bad).is_none(), "accepted {bad:?}");
+        }
+        assert_eq!(r.lookup("hira3").unwrap().name(), "hira3");
+    }
+
+    #[test]
     fn register_replaces_by_name() {
-        let mut r = PolicyRegistry::new();
+        let mut r = PolicyRegistry::default();
         r.register(PolicyHandle::new("x", |_| {
             Box::new(super::super::NoRefresh)
         }));

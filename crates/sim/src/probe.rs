@@ -83,6 +83,7 @@
 //! `{"channel":0,"rank":0,"bank":3,"row":4711,"acts":17}`.
 
 use crate::clock::MemCycle;
+use crate::handle::Handle;
 use crate::metrics::{LatencyHistogram, SimResult};
 use std::collections::HashMap;
 use std::fmt;
@@ -281,15 +282,9 @@ pub trait Probe: Send {
 pub type ProbeFactory = dyn Fn() -> Box<dyn Probe> + Send + Sync;
 
 /// A cloneable, comparable *selection* of a probe: the registry name plus
-/// the factory that builds per-run instances — the same shape as
-/// [`crate::policy::PolicyHandle`]. Equality and hashing go by name, so
-/// two configs selecting the same probe compare (and bucket) equal.
-#[derive(Clone)]
-pub struct ProbeHandle {
-    name: Arc<str>,
-    summary: Arc<str>,
-    factory: Arc<ProbeFactory>,
-}
+/// the factory that builds per-run instances. Identity is the name (see
+/// [`crate::handle`]).
+pub type ProbeHandle = Handle<ProbeFactory>;
 
 impl ProbeHandle {
     /// Wraps a factory under a registry name. Parameterized probes encode
@@ -299,33 +294,12 @@ impl ProbeHandle {
         name: impl Into<String>,
         factory: impl Fn() -> Box<dyn Probe> + Send + Sync + 'static,
     ) -> Self {
-        ProbeHandle {
-            name: Arc::from(name.into()),
-            summary: Arc::from(""),
-            factory: Arc::new(factory),
-        }
-    }
-
-    /// Attaches a one-line description (`--list` output). Not part of the
-    /// identity: equality stays by name.
-    pub fn with_summary(mut self, summary: impl Into<String>) -> Self {
-        self.summary = Arc::from(summary.into());
-        self
-    }
-
-    /// The probe's registry name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// One-line description (empty when the registrant set none).
-    pub fn summary(&self) -> &str {
-        &self.summary
+        Handle::from_arc(name, Arc::new(factory))
     }
 
     /// Builds one per-run instance.
     pub fn build(&self) -> Box<dyn Probe> {
-        (self.factory)()
+        (self.payload())()
     }
 
     /// Fans one run out to several probes: every hook reaches every
@@ -349,26 +323,6 @@ impl ProbeHandle {
             })
         })
         .with_summary(summary)
-    }
-}
-
-impl fmt::Debug for ProbeHandle {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_tuple("ProbeHandle").field(&self.name).finish()
-    }
-}
-
-impl PartialEq for ProbeHandle {
-    fn eq(&self, other: &Self) -> bool {
-        self.name == other.name
-    }
-}
-
-impl Eq for ProbeHandle {}
-
-impl std::hash::Hash for ProbeHandle {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.name.hash(state);
     }
 }
 

@@ -382,10 +382,11 @@ mod tests {
             .run_cached(&mut seed_store, &sweep, &plan, demo_task, None)
             .unwrap();
         // And the engine's plain uncached path agrees on the canonical form.
-        let plain = Executor::with_threads(1).run_instrumented(&sweep, |sc| {
+        let task = |sc: Scenario<'_, u32>| {
             let (m, t) = demo_task(sc);
             ((), m, t)
-        });
+        };
+        let plain = Executor::with_threads(1).run_observed(&sweep, task, None);
         assert_eq!(reference.canonical_json(), plain.1.canonical_json());
         std::fs::remove_dir_all(&dir).ok();
 

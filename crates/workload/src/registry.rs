@@ -91,6 +91,27 @@ impl WorkloadRegistry {
         None
     }
 
+    /// The dynamic `--workload=` forms [`lookup`](Self::lookup) accepts
+    /// beyond the registered names, with one-line descriptions.
+    pub fn forms(&self) -> Vec<(&'static str, &'static str)> {
+        vec![
+            (
+                "mix<N>",
+                "multiprogrammed roster mix N of the standard suite",
+            ),
+            ("zipf<N>", "zipfian generator with theta = N/100"),
+            (
+                "rw<N>",
+                "uniform-random generator with N% stores (N <= 100)",
+            ),
+            (
+                "open<N>",
+                "open-loop generator at N accesses per kinst (N >= 1)",
+            ),
+            ("trace:<path>", "replay of the .trace file at <path>"),
+        ]
+    }
+
     /// Registered names, in registration order.
     pub fn names(&self) -> Vec<&str> {
         self.entries.iter().map(WorkloadHandle::name).collect()
